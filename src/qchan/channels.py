@@ -40,6 +40,39 @@ CP_EIG_TOL = 1e-10
 CHOI_EQ_TOL = 1e-11
 
 
+# Sums over the Kraus index k run on the stack of shape (m, d, d) reshaped to a
+# matrix ((m*d, d), or (d*m, d) after moving k inward), so each sum is one BLAS
+# matrix product; numpy runs the equivalent einsum forms as plain loops.
+
+
+def gram_matrix(ops: np.ndarray) -> np.ndarray:
+    """Sum_k K_k* K_k of a Kraus stack; the identity iff the map is trace preserving."""
+    m, d, _ = ops.shape
+    stacked = ops.reshape(m * d, d)
+    return stacked.conj().T @ stacked
+
+
+def choi_matrix(ops: np.ndarray) -> np.ndarray:
+    """Unnormalized Choi matrix Sum_k vec(K_k) vec(K_k)* with row-major vec."""
+    vecs = ops.reshape(ops.shape[0], -1)
+    return vecs.T @ vecs.conj()
+
+
+def pure_output(ops: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Sum_k K_k psi psi* K_k* for raw amplitudes psi (not validated)."""
+    m, d, _ = ops.shape
+    v = (ops.reshape(m * d, d) @ amps).reshape(m, d)
+    return v.T @ v.conj()
+
+
+def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Sum_k L_k x R_k for two (m, d, d) stacks."""
+    m, d, _ = left.shape
+    # Row (i, k) holds row i of L_k, so one product yields every L_k x side by side.
+    rows = left.transpose(1, 0, 2).reshape(d * m, d)
+    return (rows @ x).reshape(d, m * d) @ right.reshape(m * d, d)
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive trace-preserving map as a stack of Kraus operators."""
@@ -48,16 +81,12 @@ class KrausChannel:
     dim: int
     choi: np.ndarray  # shape (dim^2, dim^2), cached eagerly, read-only
 
-    @property
-    def kraus_ops(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.ops[k] for k in range(self.ops.shape[0]))
-
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         """Sum_k K_k x K_k* on an arbitrary operator."""
         x = as_complex_matrix(x)
         if x.shape[0] != self.dim:
             raise UsageError(f"operator dimension {x.shape[0]} != channel dimension {self.dim}")
-        return np.einsum("kij,jl,kml->im", self.ops, x, self.ops.conj())
+        return _sandwich(self.ops, x, self.ops.conj().transpose(0, 2, 1))
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply to a state; the output is validated as a state."""
@@ -69,19 +98,18 @@ class KrausChannel:
         """Output density matrix for a pure input (fast path, not revalidated)."""
         if psi.dim != self.dim:
             raise UsageError(f"state dimension {psi.dim} != channel dimension {self.dim}")
-        v = self.ops @ psi.amplitudes
-        return np.einsum("ka,kb->ab", v, v.conj())
+        return pure_output(self.ops, psi.amplitudes)
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action Sum_k K_k* y K_k."""
         y = as_complex_matrix(y)
-        return np.einsum("kji,jl,klm->im", self.ops.conj(), y, self.ops)
+        return _sandwich(self.ops.conj().transpose(0, 2, 1), y, self.ops)
 
     def compose(self, other: KrausChannel) -> KrausChannel:
         """self after other: Kraus set {A_i B_j}."""
         if self.dim != other.dim:
             raise UsageError(f"cannot compose channels of dimensions {self.dim} and {other.dim}")
-        prod = np.einsum("aij,bjk->abik", self.ops, other.ops)
+        prod = self.ops[:, None] @ other.ops[None, :]
         return kraus_channel(prod.reshape(-1, self.dim, self.dim))
 
     def tensor(self, other: KrausChannel, dim_cap: int = DIM_CAP) -> KrausChannel:
@@ -89,8 +117,10 @@ class KrausChannel:
         composite = self.dim * other.dim
         if composite > dim_cap:
             raise CapacityError(f"composite dimension {composite} exceeds cap {dim_cap}")
-        ops = [np.kron(a, b) for a in self.ops for b in other.ops]
-        return kraus_channel(np.array(ops))
+        # Axes (i, j, row_a, row_b, col_a, col_b): entry A_i[r_a, c_a] B_j[r_b, c_b]
+        # is np.kron(A_i, B_j)[r_a * db + r_b, c_a * db + c_b].
+        outer = self.ops[:, None, :, None, :, None] * other.ops[None, :, None, :, None, :]
+        return kraus_channel(outer.reshape(-1, composite, composite))
 
     def tensor_power(self, n: int, dim_cap: int = DIM_CAP) -> KrausChannel:
         out = self
@@ -125,16 +155,13 @@ def kraus_channel(ops) -> KrausChannel:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValidationError("Kraus operators must have finite entries")
     dim = arr.shape[1]
-    gram = np.einsum("kji,kjl->il", arr.conj(), arr)
-    tp_residual = frobenius(gram - np.eye(dim))
+    tp_residual = frobenius(gram_matrix(arr) - np.eye(dim))
     if tp_residual > TP_TOL * dim:
         raise ValidationError(
             f"trace preservation violated: ||Sum K*K - I||_F = {tp_residual:.3e} "
             f"exceeds {TP_TOL:.0e} * dim"
         )
-    vecs = arr.reshape(arr.shape[0], dim * dim)
-    choi = np.einsum("ka,kb->ab", vecs, vecs.conj())
-    return KrausChannel(ops=frozen(arr), dim=dim, choi=frozen(choi))
+    return KrausChannel(ops=frozen(arr), dim=dim, choi=frozen(choi_matrix(arr)))
 
 
 def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
@@ -173,11 +200,11 @@ def structural_checks(c) -> ChannelChecks:
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValidationError(f"expected a stack of square operators, got shape {ops.shape}")
         dim = ops.shape[1]
-        vecs = ops.reshape(ops.shape[0], dim * dim)
-        choi = np.einsum("ka,kb->ab", vecs, vecs.conj())
+        choi = choi_matrix(ops)
     eye = np.eye(dim)
-    tp = frobenius(np.einsum("kji,kjl->il", ops.conj(), ops) - eye)
-    unital = frobenius(np.einsum("kij,klj->il", ops, ops.conj()) - eye)
+    tp = frobenius(gram_matrix(ops) - eye)
+    # Sum_k K_k K_k* is the Gram matrix of the adjoint stack {K_k*}.
+    unital = frobenius(gram_matrix(ops.conj().transpose(0, 2, 1)) - eye)
     choi_min = float(hermitian_eig(choi).values[0])
     return ChannelChecks(
         tp_residual=tp,
@@ -415,10 +442,9 @@ def random_channel_from(rng: np.random.Generator, dim: int, kraus_count: int) ->
     if kraus_count < 1:
         raise UsageError(f"kraus_count must be >= 1, got {kraus_count}")
     g = rng.standard_normal((kraus_count, dim, dim)) + 1j * rng.standard_normal((kraus_count, dim, dim))
-    gram = np.einsum("kji,kjl->il", g.conj(), g)
-    values, vectors = hermitian_eig(gram)
+    values, vectors = hermitian_eig(gram_matrix(g))
     inv_sqrt = (vectors / np.sqrt(values)) @ dagger(vectors)
-    return kraus_channel(np.einsum("kij,jl->kil", g, inv_sqrt))
+    return kraus_channel((g.reshape(-1, dim) @ inv_sqrt).reshape(g.shape))
 
 
 def random_channel(dim: int, kraus_count: int, seed: int) -> KrausChannel:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, pure_output
 from .entropy import entropy_of_spectrum
 from .errors import UsageError
 from .rng import substream, worker_count
@@ -58,13 +58,11 @@ def _entropy_objective(c: KrausChannel):
     """(value, value_and_grad) pair for psi -> S(c(psi psi*))."""
 
     def value(amps: np.ndarray) -> float:
-        v = c.ops @ amps
-        rho = np.einsum("ka,kb->ab", v, v.conj())
+        rho = pure_output(c.ops, amps)
         return entropy_of_spectrum(np.linalg.eigvalsh(rho))
 
     def value_and_grad(amps: np.ndarray) -> tuple[float, np.ndarray]:
-        v = c.ops @ amps
-        rho = np.einsum("ka,kb->ab", v, v.conj())
+        rho = pure_output(c.ops, amps)
         vals, vecs = np.linalg.eigh(rho)
         f = entropy_of_spectrum(vals)
         log_floored = np.log(np.maximum(vals, GRAD_FLOOR))
@@ -81,14 +79,12 @@ def _purity_objective(c: KrausChannel, p: float):
     """Objectives for maximizing Tr(c(psi psi*)^p), phrased as minimization of its negative."""
 
     def value(amps: np.ndarray) -> float:
-        v = c.ops @ amps
-        rho = np.einsum("ka,kb->ab", v, v.conj())
+        rho = pure_output(c.ops, amps)
         vals = np.maximum(np.linalg.eigvalsh(rho), 0.0)
         return -float((vals ** p).sum())
 
     def value_and_grad(amps: np.ndarray) -> tuple[float, np.ndarray]:
-        v = c.ops @ amps
-        rho = np.einsum("ka,kb->ab", v, v.conj())
+        rho = pure_output(c.ops, amps)
         vals, vecs = np.linalg.eigh(rho)
         vals = np.maximum(vals, 0.0)
         f = -float((vals ** p).sum())

@@ -18,6 +18,7 @@ from .channels import (
     depolarizing,
     eq9_decomposition,
     eq12_representation,
+    identity_channel,
     phase_damping,
     random_channel_from,
     schur_matrix,
@@ -358,10 +359,7 @@ def depolarizing_entropy_constant(l: int, p: float) -> float:
 
 
 def _prop3_lhs(l: int, p: float, x: DensityMatrix, dim_k: int) -> float:
-    phi = depolarizing(l, p)
-    lifted = np.array([_lift(k, dim_k) for k in phi.ops])
-    out = np.einsum("kij,jl,kml->im", lifted, x.matrix, lifted.conj())
-    return vn_nats(out)
+    return vn_nats(depolarizing(l, p).tensor(identity_channel(dim_k)).apply_matrix(x.matrix))
 
 
 def prop3_report(

@@ -1,0 +1,171 @@
+"""Every stacked-GEMM Kraus contraction against a plain einsum reference.
+
+The references below are the direct index forms of each operation.  The fast
+paths sum in a different order, so agreement is required within
+1e-12 * dim * scale, with scale the Frobenius norm of the reference (at least 1).
+"""
+import numpy as np
+import pytest
+
+from qchan.channels import (
+    choi_matrix,
+    gram_matrix,
+    random_channel,
+    structural_checks,
+)
+from qchan.optimize import GRAD_FLOOR, entropy_gradient
+from qchan.rng import substream
+from qchan.states import random_pure
+
+TOL = 1e-12
+
+CASES = [(d, m) for d in range(2, 10) for m in (1, d, d * d)]
+
+
+def _ids(case):
+    return f"d{case[0]}-m{case[1]}"
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations
+
+
+def ref_apply_matrix(ops, x):
+    return np.einsum("kij,jl,kml->im", ops, x, ops.conj())
+
+
+def ref_adjoint_apply(ops, y):
+    return np.einsum("kji,jl,klm->im", ops.conj(), y, ops)
+
+
+def ref_pure_output(ops, amps):
+    v = np.einsum("kij,j->ki", ops, amps)
+    return np.einsum("ka,kb->ab", v, v.conj())
+
+
+def ref_compose(a, b):
+    d = a.shape[1]
+    return np.einsum("aij,bjk->abik", a, b).reshape(-1, d, d)
+
+
+def ref_tensor(a, b):
+    return np.array([np.kron(x, y) for x in a for y in b])
+
+
+def ref_gram(ops):
+    return np.einsum("kji,kjl->il", ops.conj(), ops)
+
+
+def ref_unitality(ops):
+    return np.einsum("kij,klj->il", ops, ops.conj())
+
+
+def ref_choi(ops):
+    vecs = ops.reshape(ops.shape[0], -1)
+    return np.einsum("ka,kb->ab", vecs, vecs.conj())
+
+
+def ref_entropy_gradient(ops, amps):
+    vals, vecs = np.linalg.eigh(ref_pure_output(ops, amps))
+    l_mat = np.einsum("ij,j,kj->ik", vecs, np.log(np.maximum(vals, GRAD_FLOOR)) + 1.0, vecs.conj())
+    mpsi = ref_adjoint_apply(ops, l_mat) @ amps
+    return -2.0 * (mpsi - np.vdot(amps, mpsi).real * amps)
+
+
+def ref_random_channel_ops(dim, kraus_count, seed):
+    rng = substream(seed)
+    shape = (kraus_count, dim, dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values, vectors = np.linalg.eigh(ref_gram(g))
+    inv_sqrt = np.einsum("ij,j,kj->ik", vectors, 1.0 / np.sqrt(values), vectors.conj())
+    return np.einsum("kij,jl->kil", g, inv_sqrt)
+
+
+# ---------------------------------------------------------------------------
+
+
+def assert_close(fast, ref, dim):
+    assert fast.shape == ref.shape
+    scale = max(1.0, float(np.linalg.norm(ref)))
+    assert float(np.linalg.norm(fast - ref)) <= TOL * dim * scale
+
+
+def _channel(d, m):
+    return random_channel(d, m, seed=1000 * d + m)
+
+
+def _operator(d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_apply_matrix_and_adjoint(case):
+    d, m = case
+    c = _channel(d, m)
+    x = _operator(d, d + m)
+    assert_close(c.apply_matrix(x), ref_apply_matrix(c.ops, x), d)
+    assert_close(c.adjoint_apply(x), ref_adjoint_apply(c.ops, x), d)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_apply_pure(case):
+    d, m = case
+    c = _channel(d, m)
+    psi = random_pure(d, seed=d + m)
+    assert_close(c.apply_pure(psi), ref_pure_output(c.ops, psi.amplitudes), d)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_gram_choi_and_random_channel(case):
+    d, m = case
+    c = _channel(d, m)
+    assert_close(c.ops, ref_random_channel_ops(d, m, 1000 * d + m), d)
+    assert_close(gram_matrix(c.ops), ref_gram(c.ops), d)
+    assert_close(choi_matrix(c.ops), ref_choi(c.ops), d)
+    assert_close(c.choi, ref_choi(c.ops), d)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_structural_checks(case):
+    d, m = case
+    c = _channel(d, m)
+    eye = np.eye(d)
+    # A rescaled stack is not trace preserving, so the raw-stack branch runs on
+    # residuals far from zero as well as on a valid channel.
+    scaled = 1.1 * c.ops
+    for arg, raw in ((c, c.ops), (c.ops, c.ops), (scaled, scaled)):
+        checks = structural_checks(arg)
+        tp = float(np.linalg.norm(ref_gram(raw) - eye))
+        unital = float(np.linalg.norm(ref_unitality(raw) - eye))
+        choi_min = float(np.linalg.eigvalsh(ref_choi(raw))[0])
+        assert abs(checks.tp_residual - tp) <= TOL * d * max(1.0, tp)
+        assert abs(checks.unitality_residual - unital) <= TOL * d * max(1.0, unital)
+        assert abs(checks.choi_min_eigenvalue - choi_min) <= TOL * d * d
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_compose(case):
+    d, m = case
+    a = _channel(d, m)
+    b = _channel(d, max(1, m // d))
+    assert_close(a.compose(b).ops, ref_compose(a.ops, b.ops), d)
+
+
+@pytest.mark.parametrize("da,ma,db,mb", [(2, 4, 3, 9), (3, 3, 2, 1), (2, 1, 5, 5), (4, 16, 2, 2)])
+def test_tensor_unequal_dimensions(da, ma, db, mb):
+    a = _channel(da, ma)
+    b = _channel(db, mb)
+    ops = ref_tensor(a.ops, b.ops)
+    ab = a.tensor(b)
+    assert ab.dim == da * db
+    assert_close(ab.ops, ops, da * db)
+    assert_close(ab.choi, ref_choi(ops), da * db)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_entropy_gradient(case):
+    d, m = case
+    c = _channel(d, m)
+    psi = random_pure(d, seed=7 * d + m)
+    assert_close(entropy_gradient(c, psi), ref_entropy_gradient(c.ops, psi.amplitudes), d)
