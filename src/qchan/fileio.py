@@ -13,6 +13,7 @@ trips are bit-faithful.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,21 @@ def _parse_header(lines: list[tuple[int, str]], expect_kraus: bool) -> tuple[int
     return dim, count, 2
 
 
+# A row of comma-separated entries with exactly one colon each.
+_ROW_SHAPE = re.compile(r"[^,:]*:[^,:]*(?:,[^,:]*:[^,:]*)*")
+
+
 def _parse_row(lineno: int, line: str, dim: int) -> np.ndarray:
+    if line.count(",") == dim - 1 and _ROW_SHAPE.fullmatch(line):
+        # float() ignores the whitespace that the per-entry path strips, so
+        # this yields the same numbers; any bad entry falls through to the
+        # per-entry path, which reports where it is.
+        try:
+            parts = list(map(float, line.replace(",", ":").split(":")))
+        except ValueError:
+            pass
+        else:
+            return np.array(parts).view(complex)
     entries = line.split(",")
     if len(entries) != dim:
         raise ParseError(f"expected {dim} entries, got {len(entries)}", lineno, 1)
@@ -120,10 +135,10 @@ def load_channel(path: str | Path) -> KrausChannel:
 
 
 def _format_matrix(m: np.ndarray) -> str:
-    rows = []
-    for r in range(m.shape[0]):
-        rows.append(", ".join(f"{v.real:.17g}:{v.imag:.17g}" for v in m[r]))
-    return "\n".join(rows)
+    template = ", ".join(["%.17g:%.17g"] * m.shape[1])
+    # Each row as Python floats re, im, re, im, ...: one template fill per row.
+    pairs = np.ascontiguousarray(m, dtype=complex).view(float).tolist()
+    return "\n".join(template % tuple(row) for row in pairs)
 
 
 def save_state(path: str | Path, rho: DensityMatrix) -> None:
