@@ -1,0 +1,5 @@
+"""Run the command-line interface as ``python -m qchan``."""
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -2,14 +2,19 @@
 
 The search space is the unit sphere (concavity of the entropy puts the infimum
 over all states on pure ones).  Each restart runs Armijo-backtracked descent
-with the normalize retraction; restarts draw independent substreams from
-(seed, restart index), so results are deterministic and schedule-independent.
-The spectrum is floored at GRAD_FLOOR inside the gradient's logarithm; reported
-values are recomputed with the clamped entropy, without the floor.
+with the normalize retraction.  Each line search starts from the
+Barzilai-Borwein (BB1) trial step Re<s,s> / Re<s,y>, where s is the last
+accepted displacement and y the change in gradient across it (Barzilai &
+Borwein, IMA J. Numer. Anal. 8, 1988), clamped to [BB_STEP_MIN, BB_STEP_MAX].
+The first line search, and any after a step with Re<s,y> <= 0, starts from
+INITIAL_STEP instead.  Backtracking keeps every accepted step a decrease of the
+objective.  Restarts draw independent substreams from (seed, restart index), so
+results are deterministic.  The spectrum is floored at GRAD_FLOOR inside the
+gradient's logarithm; reported values are recomputed with the clamped entropy,
+without the floor.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,13 +23,18 @@ import numpy as np
 from .channels import KrausChannel, pure_output
 from .entropy import entropy_of_spectrum
 from .errors import UsageError
-from .rng import substream, worker_count
+from .rng import substream
 from .states import PureState, random_pure_from
 
 GRAD_FLOOR = 1e-14
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 INITIAL_STEP = 1.0
+# Range of the Barzilai-Borwein trial step.  Backtracking corrects a trial step
+# that is too long, so the clamp only guards against a curvature estimate that
+# is nearly zero or spoiled by rounding.
+BB_STEP_MIN = 1e-10
+BB_STEP_MAX = 1e10
 MIN_STEP = 1e-18
 # Stop a restart after this many consecutive steps that each improve the
 # objective by less than STALL_RTOL relative: the iterate is at float
@@ -130,10 +140,10 @@ def _descend(
     gnorm = float(np.linalg.norm(grad))
     iterations = 0
     stalled_steps = 0
+    step = INITIAL_STEP
     for _ in range(max_iter):
         if gnorm < tol:
             break
-        step = INITIAL_STEP
         accepted = False
         while step >= MIN_STEP:
             cand = amps - step * grad
@@ -145,10 +155,17 @@ def _descend(
             step *= BACKTRACK
         if not accepted:
             break  # line search stalled: gradient no longer descends at float precision
+        s = cand - amps
+        grad_prev = grad
         amps = cand
         f_prev = f
         f, grad = value_and_grad(amps)
         gnorm = float(np.linalg.norm(grad))
+        sy = np.vdot(s, grad - grad_prev).real
+        if sy > 0.0:
+            step = min(max(np.vdot(s, s).real / sy, BB_STEP_MIN), BB_STEP_MAX)
+        else:
+            step = INITIAL_STEP
         iterations += 1
         if f_prev - f < STALL_RTOL * max(1.0, abs(f_prev)):
             stalled_steps += 1
@@ -182,12 +199,7 @@ def _optimize_on_sphere(
             start = random_pure_from(substream(seed, *seed_path, r), dim).amplitudes
         return _descend(value, value_and_grad, start, max_iter, tol)
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(restarts)))
-    else:
-        outcomes = [run(r) for r in range(restarts)]
+    outcomes = [run(r) for r in range(restarts)]
     best_index = min(range(restarts), key=lambda r: (outcomes[r].value, r))
     best = outcomes[best_index]
     return OptimizationResult(

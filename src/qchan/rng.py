@@ -2,16 +2,12 @@
 
 Every stochastic operation in the package is keyed by ``(seed, *path)``.  The
 same key always yields the same stream, and distinct paths give statistically
-independent streams, so batched work can run in any order (or concurrently)
-without changing results.
+independent streams, so batched work can run in any order without changing
+results.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import UsageError
 
 #: Named, versioned generator backing all sampling in this package.
 BIT_GENERATOR = "PCG64"
@@ -21,17 +17,3 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for the stream keyed by ``(seed, *path)``."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def worker_count() -> int:
-    """Worker cap from the QCHAN_THREADS environment variable (default 1)."""
-    raw = os.environ.get("QCHAN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"QCHAN_THREADS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise UsageError(f"QCHAN_THREADS must be a positive integer, got {n}")
-    return n

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qchan
 from qchan.cli import main
 from qchan.fileio import save_channel, save_state
 from qchan.channels import kraus_channel
@@ -231,3 +236,33 @@ def test_log_base_converts_witness_entropies(tmp_path):
     w_nats, w_bits = nats["checks"][0]["witness"], bits["checks"][0]["witness"]
     assert w_bits["s_min"] == pytest.approx(w_nats["s_min"] / math.log(2), rel=1e-12)
     assert w_bits["kind"] == w_nats["kind"]
+
+
+def test_additivity_damped_depolarizing_defaults_no_false_failure(tmp_path):
+    # The theorem says this channel is additive.  With every line search
+    # started at step 1, the default 500 iterations left the single-channel
+    # searches above the joint one and the check failed with a gap of -2.6e-4.
+    code, report = run_cli(
+        ["additivity", "--channel", "damped-depolarizing", "--l", "3", "--p", "0.234",
+         "--q", "0.672", "--seed", "0"],
+        tmp_path,
+    )
+    assert code == 0
+    check = report["checks"][0]
+    assert check["pass"] is True
+    assert abs(check["margin"]) <= check["tolerance"]
+
+
+@pytest.mark.parametrize("module", ["qchan", "qchan.cli"])
+def test_python_m_entry_points(module):
+    env = dict(os.environ)
+    src = str(Path(qchan.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "eq3", "--l", "2", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [check["id"] for check in report["checks"]] == ["eq3"]
+    assert report["pass"] is True
