@@ -19,7 +19,6 @@ from .channels import (
     PhaseDampingParams,
     SchurReport,
     choi_distance,
-    channels_equal,
     conditional_expectation,
     depolarizing,
     eq9_decomposition,
@@ -89,9 +88,7 @@ from .verify import (
     check_multiplicativity,
     entropy_increase_suite,
     gradient_suite,
-    intertwining_check,
     monotonicity_suite,
-    resolution_of_identity_check,
     verify_prop1,
     verify_prop2,
     verify_prop3,

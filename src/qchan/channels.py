@@ -152,7 +152,7 @@ def kraus_channel(ops) -> KrausChannel:
     arr = np.asarray(ops, dtype=complex)
     if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != arr.shape[2]:
         raise ValidationError(f"expected a nonempty stack of square Kraus operators, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidationError("Kraus operators must have finite entries")
     dim = arr.shape[1]
     tp_residual = frobenius(gram_matrix(arr) - np.eye(dim))
@@ -169,10 +169,6 @@ def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
     if a.dim != b.dim:
         raise UsageError(f"cannot compare channels of dimensions {a.dim} and {b.dim}")
     return frobenius(a.choi - b.choi)
-
-
-def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = CHOI_EQ_TOL) -> bool:
-    return choi_distance(a, b) <= tol
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -594,7 +595,9 @@ def _parse_floats(raw: str | None, flag: str) -> tuple[float, ...] | None:
         raise UsageError(f"{flag} must be a comma-separated list of numbers, got {raw!r}") from exc
 
 
-def parse_args(argv: list[str]) -> RunConfig:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused for every call."""
     parser = argparse.ArgumentParser(
         prog="qchan",
         description="Construct bistochastic channels and verify their entropy claims.",
@@ -606,8 +609,11 @@ def parse_args(argv: list[str]) -> RunConfig:
     verify = sub.add_parser("verify")
     verify.add_argument("claim", choices=VERIFY_CLAIMS)
     _add_common(verify)
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def parse_args(argv: list[str]) -> RunConfig:
+    ns = _parser().parse_args(argv)
     lambdas = _parse_floats(getattr(ns, "lambdas", None), "--lambdas")
     if lambdas is not None and len(lambdas) != 3:
         raise UsageError("--lambdas needs exactly three comma-separated numbers")

@@ -35,7 +35,7 @@ def as_complex_matrix(a: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValidationError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite (no NaN/Inf)")
     return m
 

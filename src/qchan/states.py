@@ -38,7 +38,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size < 1:
             raise ValidationError("pure state needs at least one amplitude")
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise ValidationError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > UNIT_NORM_TOL:

@@ -7,7 +7,10 @@ inequality claims -1e-9 (arithmetic-limited), optimizer-backed equalities
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .channels import (
 )
 from .entropy import entropy_of_spectrum, relative_entropy_nats, subnormalized_entropy, vn_nats
 from .errors import UsageError
-from .linalg import dagger, frobenius, hermitian_eig, partial_trace
+from .linalg import dagger, frobenius, frozen, hermitian_eig, partial_trace
 from .optimize import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -67,15 +70,40 @@ GRADIENT_TOL = 1e-5
 MARGINAL_TOL = 1e-8
 
 
+# Lifted tables kept per process, one per (system, dim_k) or (resolution,
+# dim_k).  Keys are dimensions and cached Weyl objects, never state data or
+# channel parameters, so the caches do not grow with the samples.  A unitary
+# table holds l^2 matrices of (l * dim_k)^2 entries: 11 KB at l = dim_k = 3,
+# 1.9 MB at 7 and 28 MB at 11.
+LIFT_CACHE_SIZE = 16
+
+
 def _lift(u: np.ndarray, dim_k: int) -> np.ndarray:
     return np.kron(u, np.eye(dim_k))
 
 
+@functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
+def _lifted_unitaries(system: weyl_mod.WeylSystem, dim_k: int) -> Mapping[weyl_mod.Element, np.ndarray]:
+    """U_g (x) I_K for every group element, read-only."""
+    return MappingProxyType({g: frozen(_lift(u, dim_k)) for g, u in system.unitaries.items()})
+
+
+@functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
+def _lifted_projections(resolution: weyl_mod.OrthogonalResolution, dim_k: int) -> tuple[np.ndarray, ...]:
+    """P_j (x) I_K for every projection of the resolution, read-only."""
+    return tuple(frozen(_lift(p, dim_k)) for p in resolution.projections)
+
+
+def _unitaries(system: weyl_mod.WeylSystem, dim_k: int) -> Mapping[weyl_mod.Element, np.ndarray]:
+    return system.unitaries if dim_k == 1 else _lifted_unitaries(system, dim_k)
+
+
 def _family_average(family: weyl_mod.SubgroupFamily, x: np.ndarray, dim_k: int = 1) -> np.ndarray:
     """Uniform conjugation average over the family, tensored with identity on K."""
+    unitaries = _unitaries(family.system, dim_k)
     acc = np.zeros_like(x)
     for g in family.elements:
-        u = family.system.unitary(g) if dim_k == 1 else _lift(family.system.unitary(g), dim_k)
+        u = unitaries[g]
         acc = acc + u @ x @ dagger(u)
     return acc / len(family.elements)
 
@@ -83,9 +111,10 @@ def _family_average(family: weyl_mod.SubgroupFamily, x: np.ndarray, dim_k: int =
 def _family_mixture(
     family: weyl_mod.SubgroupFamily, weights, x: np.ndarray, dim_k: int = 1
 ) -> np.ndarray:
+    unitaries = _unitaries(family.system, dim_k)
     acc = np.zeros_like(x)
     for w, g in zip(weights, family.elements):
-        u = family.system.unitary(g) if dim_k == 1 else _lift(family.system.unitary(g), dim_k)
+        u = unitaries[g]
         acc = acc + w * (u @ x @ dagger(u))
     return acc
 
@@ -115,17 +144,6 @@ def resolution_residual(
         u = system.unitary(g)
         total = total + u @ averaged @ dagger(u)
     return frobenius(total - np.eye(system.l))
-
-
-def resolution_of_identity_check(
-    l: int, x: DensityMatrix, transversal: str = "shift", seed: int | None = None
-) -> PropositionReport:
-    system = weyl_mod.weyl_system(l)
-    residual = resolution_residual(system, x, transversal)
-    return proposition_report(
-        "eq3", lhs=0.0, rhs=residual, tolerance=RESIDUAL_TOL,
-        witness={"transversal": transversal}, seed=seed,
-    )
 
 
 def check_eq3(l: int, samples: int = 100, seed: int = 0, transversal: str = "shift") -> PropositionReport:
@@ -158,17 +176,6 @@ def intertwining_residuals(
     r1 = frobenius(_family_average(family, phix) - ex)
     r2 = frobenius(_family_mixture(family, weights, ex) - ex)
     return r1, r2
-
-
-def intertwining_check(
-    family: weyl_mod.SubgroupFamily, weights, x: DensityMatrix, seed: int | None = None
-) -> PropositionReport:
-    r1, r2 = intertwining_residuals(family, weights, x)
-    return proposition_report(
-        "eq5", lhs=0.0, rhs=max(r1, r2), tolerance=RESIDUAL_TOL,
-        witness={"family": family.label, "residual_e_phi": r1, "residual_phi_e": r2},
-        seed=seed,
-    )
 
 
 def check_eq5(l: int, samples: int = 100, seed: int = 0) -> PropositionReport:
@@ -250,14 +257,15 @@ def prop1_report(
     for name, w in (("lambda", lam), ("epsilon", eps)):
         if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
             raise UsageError(f"{name} weights must form a probability vector")
+    lifted = _lifted_unitaries(system, dim_k)
     lhs_mat = np.zeros_like(x.matrix)
     for k in range(l):
         for t in range(l):
-            u = _lift(system.unitary((t, k)), dim_k)
+            u = lifted[(t, k)]
             lhs_mat = lhs_mat + lam[k] * eps[t] * (u @ x.matrix @ dagger(u))
     rhs_mat = np.zeros_like(x.matrix)
     for k in range(l):
-        u = _lift(system.unitary((0, k)), dim_k)
+        u = lifted[(0, k)]
         rhs_mat = rhs_mat + lam[k] * (u @ x.matrix @ dagger(u))
     lhs = vn_nats(lhs_mat)
     rhs = vn_nats(rhs_mat)
@@ -314,8 +322,8 @@ def prop2_report(
     ex = _family_average(family, x.matrix, dim_k)
     lhs = vn_nats(phix)
     middle = 0.0
-    for proj in resolution.projections:
-        block = partial_trace(_lift(proj, dim_k) @ ex, l, dim_k, side="left")
+    for proj in _lifted_projections(resolution, dim_k):
+        block = partial_trace(proj @ ex, l, dim_k, side="left")
         middle += subnormalized_entropy(block)
     rhs = entropy_of_spectrum(lam) + middle - math.log(l)
     return proposition_report(
@@ -358,10 +366,6 @@ def depolarizing_entropy_constant(l: int, p: float) -> float:
     return entropy_of_spectrum(np.array([lam0] + [p / l] * (l - 1)))
 
 
-def _prop3_lhs(l: int, p: float, x: DensityMatrix, dim_k: int) -> float:
-    return vn_nats(depolarizing(l, p).tensor(identity_channel(dim_k)).apply_matrix(x.matrix))
-
-
 def prop3_report(
     l: int,
     p: float,
@@ -378,11 +382,20 @@ def prop3_report(
     projections, keeping the best margin among candidates whose overlap
     Tr((P (x) I) x) is within 1e-8 of 1/l.
     """
+    lifted = depolarizing(l, p).tensor(identity_channel(dim_k))
+    return _prop3_report(lifted, l, p, x, dim_k, mode, search_count, seed)
+
+
+def _prop3_report(
+    lifted: KrausChannel, l: int, p: float, x: DensityMatrix, dim_k: int,
+    mode: str, search_count: int, seed: int | None,
+) -> PropositionReport:
+    """``prop3_report`` with Phi (x) Id_K built by the caller."""
     if x.dim != l * dim_k:
         raise UsageError(f"state dimension {x.dim} != {l} * {dim_k}")
     system = weyl_mod.weyl_system(l)
     marginal = partial_trace(x.matrix, l, dim_k, side="right")
-    lhs = _prop3_lhs(l, p, x, dim_k)
+    lhs = vn_nats(lifted.apply_matrix(x.matrix))
     h_const = depolarizing_entropy_constant(l, p)
 
     if mode == "constructive":
@@ -401,8 +414,8 @@ def prop3_report(
         for k in range(l):
             family = weyl_mod.diagonal_subgroup(system, k)
             resolution = weyl_mod.fixed_point_resolution(family)
-            for j, proj in enumerate(resolution.projections):
-                block = partial_trace(_lift(proj, dim_k) @ wx, l, dim_k, side="left")
+            for j, proj in enumerate(_lifted_projections(resolution, dim_k)):
+                block = partial_trace(proj @ wx, l, dim_k, side="left")
                 tr = float(np.trace(block).real)
                 entr = vn_nats(block / tr)
                 if entr < best_entropy:
@@ -485,11 +498,12 @@ def verify_prop3(
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     dim_k = l if dim_k is None else dim_k
+    lifted = depolarizing(l, p).tensor(identity_channel(dim_k))
     worst: PropositionReport | None = None
     for i in range(samples):
         rng = substream(seed, i)
         x = random_mixed_marginal_state(rng, l, dim_k)
-        rep = prop3_report(l, p, x, dim_k, mode=mode, search_count=search_count, seed=seed)
+        rep = _prop3_report(lifted, l, p, x, dim_k, mode, search_count, seed)
         if worst is None or rep.margin < worst.margin:
             worst = PropositionReport(
                 claim_id=rep.claim_id, lhs=rep.lhs, rhs=rep.rhs, margin=rep.margin,

@@ -14,7 +14,10 @@ once; for composite ``l`` the covering has gaps (enumerated here).
 """
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,12 +39,21 @@ def phase_matrix(l: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(l) / l))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylSystem:
-    """All l^2 projective unitaries U_(k,s) for one dimension l."""
+    """All l^2 projective unitaries U_(k,s) for one dimension l.
+
+    The unitaries are copied into read-only arrays behind a read-only mapping.
+    Systems compare and hash by identity, which keys the subgroup and
+    resolution caches below: a hand-built system never shares their entries.
+    """
 
     l: int
-    unitaries: dict[Element, np.ndarray]
+    unitaries: Mapping[Element, np.ndarray]
+
+    def __post_init__(self):
+        table = {g: frozen(np.array(u, dtype=complex)) for g, u in self.unitaries.items()}
+        object.__setattr__(self, "unitaries", MappingProxyType(table))
 
     @property
     def elements(self) -> list[Element]:
@@ -58,8 +70,18 @@ class WeylSystem:
         return ((g[0] + h[0]) % self.l, (g[1] + h[1]) % self.l)
 
 
+# Standard systems kept per process.  A bound of a few entries, because the
+# table grows as l^4: one l = 31 system already holds 15 MB of unitaries.
+SYSTEM_CACHE_SIZE = 4
+# Subgroup families and their resolutions kept per process: enough for every
+# family of a few small systems (l + 1 families each).  A cached family keeps
+# its system alive, so this bound also caps the systems held past the LRU.
+FAMILY_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
 def weyl_system(l: int) -> WeylSystem:
-    """Build the Weyl system for dimension ``l >= 2``."""
+    """The Weyl system for dimension ``l >= 2``, built once per l and shared."""
     if l < 2:
         raise UsageError(f"Weyl system needs dimension >= 2, got {l}")
     shift = shift_matrix(l)
@@ -67,24 +89,23 @@ def weyl_system(l: int) -> WeylSystem:
     shift_pow = [np.linalg.matrix_power(shift, k) for k in range(l)]
     phase_pow = [np.linalg.matrix_power(phase, s) for s in range(l)]
     unitaries = {
-        (k, s): frozen(shift_pow[k] @ phase_pow[s]) for k in range(l) for s in range(l)
+        (k, s): shift_pow[k] @ phase_pow[s] for k in range(l) for s in range(l)
     }
     return WeylSystem(l=l, unitaries=unitaries)
 
 
-def twirl(system: WeylSystem, x: np.ndarray) -> np.ndarray:
-    """Average of U x U* over the whole group; equals Tr(x)/l * I by irreducibility."""
-    acc = np.zeros_like(np.asarray(x, dtype=complex))
-    for u in system.unitaries.values():
-        acc += u @ x @ dagger(u)
-    return acc / (system.l ** 2)
-
-
 def irreducibility_residual(system: WeylSystem, x: np.ndarray) -> float:
-    """||twirl(x) - Tr(x)/l * I||_F; should vanish for an irreducible system."""
+    """||twirl(x) - Tr(x)/l * I||_F; should vanish for an irreducible system.
+
+    The twirl averages U x U* over the whole group.
+    """
     x = linalg.as_complex_matrix(x)
+    twirl = np.zeros_like(x)
+    for u in system.unitaries.values():
+        twirl += u @ x @ dagger(u)
+    twirl /= system.l ** 2
     target = np.trace(x) / system.l * np.eye(system.l)
-    return frobenius(twirl(system, x) - target)
+    return frobenius(twirl - target)
 
 
 @dataclass(frozen=True)
@@ -124,14 +145,19 @@ class SubgroupFamily:
         return [self.system.unitary(g) for g in self.elements]
 
 
+@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def phase_subgroup(system: WeylSystem) -> SubgroupFamily:
-    """G1 = {(0, s)}."""
+    """G1 = {(0, s)}, built once per system."""
     elems = tuple((0, s) for s in range(system.l))
     return SubgroupFamily(label="G1", system=system, elements=elems, generator=(0, 1))
 
 
+@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def diagonal_subgroup(system: WeylSystem, k: int) -> SubgroupFamily:
-    """G0k = {(s, s*k mod l)}, generated by (1, k); k = 0 is the shift subgroup."""
+    """G0k = {(s, s*k mod l)}, generated by (1, k); k = 0 is the shift subgroup.
+
+    Built once per (system, k).
+    """
     l = system.l
     if not 0 <= k < l:
         raise UsageError(f"subgroup index must lie in [0, {l}), got {k}")
@@ -167,9 +193,12 @@ def covering_report(system: WeylSystem) -> CoveringReport:
     return CoveringReport(covered=not missing and not multi, missing=missing, multiply_covered=multi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalResolution:
-    """Orthogonal rank-one projections summing to the identity."""
+    """Orthogonal rank-one projections summing to the identity.
+
+    Compares and hashes by identity, like ``WeylSystem``.
+    """
 
     projections: tuple[np.ndarray, ...]
     label: str
@@ -184,7 +213,13 @@ def fixed_point_resolution(family: SubgroupFamily, cluster_tol: float = EIG_CLUS
 
     Requires the conjugation action of the family to be abelian and its joint
     eigenspaces one-dimensional; obtained from the generator's eigenvectors.
+    Built and checked once per family; later calls return the same object.
     """
+    return _resolution(family, cluster_tol)
+
+
+@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _resolution(family: SubgroupFamily, cluster_tol: float) -> OrthogonalResolution:
     system = family.system
     l = system.l
     for g in family.elements:

@@ -192,6 +192,20 @@ def test_structural_checks_flags_broken_kraus():
         kraus_channel(bad)
 
 
+# NaN and +-inf, each in the real part and in the imaginary part.
+NONFINITE = [complex(v, 0.0) for v in (np.nan, np.inf, -np.inf)] + [
+    complex(0.0, v) for v in (np.nan, np.inf, -np.inf)
+]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_kraus_channel_rejects_nonfinite(bad):
+    ops = np.eye(2, dtype=complex)[None, :, :].copy()
+    ops[0, 0, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        kraus_channel(ops)
+
+
 # --------------------------------------------------------------- depolarizing
 
 

@@ -136,6 +136,20 @@ def test_hermitian_eig_rejects_nan():
         linalg.hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+# NaN and +-inf, each in the real part and in the imaginary part.
+NONFINITE = [complex(v, 0.0) for v in (np.nan, np.inf, -np.inf)] + [
+    complex(0.0, v) for v in (np.nan, np.inf, -np.inf)
+]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_as_complex_matrix_rejects_nonfinite(bad):
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        linalg.as_complex_matrix(m)
+
+
 def test_matrix_function_identity_rule():
     a = rand_hermitian(4)
     out = linalg.matrix_function_hermitian(a, lambda v: v)

@@ -67,6 +67,18 @@ def test_pure_state_rejects_unnormalized():
         states.PureState(np.array([1.0, 1.0]))
 
 
+# NaN and +-inf, each in the real part and in the imaginary part.
+NONFINITE = [complex(v, 0.0) for v in (np.nan, np.inf, -np.inf)] + [
+    complex(0.0, v) for v in (np.nan, np.inf, -np.inf)
+]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_pure_state_rejects_nonfinite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        states.PureState(np.array([1.0, bad]))
+
+
 def test_random_pure_dim_one():
     psi = states.random_pure(1, seed=3)
     assert abs(abs(psi.amplitudes[0]) - 1.0) < 1e-12

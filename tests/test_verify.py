@@ -1,9 +1,12 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from qchan import weyl
+from qchan import cli, weyl
+from qchan import verify as verify_mod
 from qchan.channels import (
     depolarizing,
     identity_channel,
@@ -417,3 +420,76 @@ def test_additivity_composed_channel_pair():
     xi = phase_damping(2, (0.7,)).compose(depolarizing(2, 0.5))
     rep = check_additivity(xi, xi, restarts=15, seed=41)
     assert rep.passed and abs(rep.gap) <= 1e-5
+
+
+# ------------------------------------------------------------------- caches
+
+
+def _qchan_caches() -> dict:
+    """Every lru_cache-wrapped function in the loaded qchan modules, by name."""
+    caches = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "qchan" or name.startswith("qchan.")):
+            continue
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value
+    return caches
+
+
+def _clear_caches() -> dict:
+    caches = _qchan_caches()
+    for fn in caches.values():
+        fn.cache_clear()
+    return caches
+
+
+def test_lifted_operators_are_shared_and_read_only():
+    system = weyl.weyl_system(3)
+    resolution = weyl.fixed_point_resolution(weyl.phase_subgroup(system))
+    unitaries = verify_mod._lifted_unitaries(system, 2)
+    projections = verify_mod._lifted_projections(resolution, 2)
+    assert verify_mod._lifted_unitaries(system, 2) is unitaries
+    assert verify_mod._lifted_projections(resolution, 2) is projections
+    with pytest.raises(TypeError):
+        unitaries[(0, 0)] = np.eye(6)
+    for g, u in system.unitaries.items():
+        assert np.array_equal(unitaries[g], np.kron(u, np.eye(2)))
+    for lifted, proj in zip(projections, resolution.projections):
+        assert np.array_equal(lifted, np.kron(proj, np.eye(2)))
+    for arr in (*unitaries.values(), *projections):
+        assert not arr.flags.writeable
+
+
+def test_caches_do_not_grow_with_job_data():
+    caches = _clear_caches()
+    assert {"qchan.weyl.weyl_system", "qchan.weyl._resolution",
+            "qchan.verify._lifted_unitaries", "qchan.verify._lifted_projections"} <= set(caches)
+    ps = np.linspace(0.1, 0.9, 20)
+    verify_prop3(2, float(ps[0]), samples=2, seed=0)
+    verify_prop2(2, samples=4, seed=0)
+    first = {name: fn.cache_info().currsize for name, fn in caches.items()}
+    assert first["qchan.weyl._resolution"] > 0
+    for i in range(1, 20):
+        verify_prop3(2, float(ps[i]), samples=2, seed=0)
+        verify_prop2(2, samples=4, seed=i)
+    after = {name: fn.cache_info().currsize for name, fn in caches.items()}
+    assert after == first
+
+
+def test_verify_all_cold_and_warm_caches_agree(tmp_path):
+    def report(name: str) -> dict:
+        path = tmp_path / name
+        code = cli.main(["verify", "all", "--l", "3", "--p", "0.3", "--q", "0.5", "--seed", "4",
+                         "--samples", "5", "--pairs", "20", "--eq13-samples", "2",
+                         "--search-count", "5", "--restarts", "2", "--output", str(path)])
+        assert code == 0
+        doc = json.loads(path.read_text())
+        del doc["wall_clock_ms"]
+        for check in doc["checks"]:
+            del check["elapsed_ms"]
+        return doc
+
+    _clear_caches()
+    cold = report("cold.json")
+    assert report("warm.json") == cold

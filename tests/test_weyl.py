@@ -3,7 +3,7 @@ import pytest
 
 from qchan import weyl
 from qchan.errors import UsageError, ValidationError
-from qchan.states import random_density
+from qchan.states import random_density, random_unitary
 
 
 def test_qubit_generators():
@@ -158,3 +158,48 @@ def test_diagonal_subgroup_bad_index():
     system = weyl.weyl_system(3)
     with pytest.raises(UsageError):
         weyl.diagonal_subgroup(system, 3)
+
+
+# ------------------------------------------------------------------- caches
+
+
+def test_cached_objects_are_shared_and_read_only():
+    system = weyl.weyl_system(3)
+    assert weyl.weyl_system(3) is system
+    with pytest.raises(TypeError):
+        system.unitaries[(0, 0)] = np.eye(3)
+    family = weyl.diagonal_subgroup(system, 1)
+    assert weyl.diagonal_subgroup(system, 1) is family
+    assert weyl.phase_subgroup(system) is weyl.phase_subgroup(system)
+    res = weyl.fixed_point_resolution(family)
+    assert weyl.fixed_point_resolution(family) is res
+    for arr in (*system.unitaries.values(), *res.projections):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 2.0
+
+
+def test_hand_built_system_copies_its_unitaries():
+    table = {g: np.array(u) for g, u in weyl.weyl_system(2).unitaries.items()}
+    system = weyl.WeylSystem(l=2, unitaries=table)
+    table[(0, 0)][0, 0] = 5.0
+    table[(1, 0)] = np.zeros((2, 2))
+    assert np.array_equal(system.unitary((0, 0)), np.eye(2))
+    assert np.array_equal(system.unitary((1, 0)), [[0, 1], [1, 0]])
+
+
+def test_hand_built_system_gets_its_own_resolution():
+    standard = weyl.weyl_system(3)
+    v = random_unitary(3, seed=11)
+    rotated = weyl.WeylSystem(
+        l=3, unitaries={g: v @ u @ v.conj().T for g, u in standard.unitaries.items()})
+    copy = weyl.WeylSystem(l=3, unitaries=standard.unitaries)
+    for k in range(3):
+        res_std = weyl.fixed_point_resolution(weyl.diagonal_subgroup(standard, k))
+        res_rot = weyl.fixed_point_resolution(weyl.diagonal_subgroup(rotated, k))
+        assert weyl.fixed_point_resolution(weyl.diagonal_subgroup(copy, k)) is not res_std
+        assert res_rot is not res_std
+        # Conjugating the group by V keeps the generator's spectrum, so the
+        # projections keep their order and become V P V*.
+        for p_std, p_rot in zip(res_std.projections, res_rot.projections):
+            assert np.abs(p_rot - v @ p_std @ v.conj().T).max() < 1e-10
