@@ -475,21 +475,28 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(math.isqrt(n)) + 1))
 
 
-def eq9_decomposition(l: int, p: float) -> Eq9Decomposition:
-    """Build and verify the coset decomposition; defined for prime l only.
+def eq9_refusal(l: int) -> str | None:
+    """Why the coset decomposition is refused at ``l``; None for prime ``l``.
 
     For composite l the subgroups G0k and G1 do not cover the group (for l = 4
     the element (2, 1) lies in none of them), so the decomposition's bookkeeping
-    breaks down and the request is refused.
+    breaks down.
     """
+    if _is_prime(l):
+        return None
+    gap = weyl_mod.covering_report(weyl_mod.weyl_system(l))
+    return (
+        f"coset decomposition needs prime l; for l={l} the order-l subgroups "
+        f"miss elements {list(gap.missing)[:4]}{'...' if len(gap.missing) > 4 else ''}"
+    )
+
+
+def eq9_decomposition(l: int, p: float) -> Eq9Decomposition:
+    """Build and verify the coset decomposition; refused (UsageError) unless l is prime."""
     DepolarizingParams(l=l, p=p)
-    if not _is_prime(l):
-        system = weyl_mod.weyl_system(l)
-        gap = weyl_mod.covering_report(system)
-        raise UsageError(
-            f"coset decomposition needs prime l; for l={l} the order-l subgroups "
-            f"miss elements {list(gap.missing)[:4]}{'...' if len(gap.missing) > 4 else ''}"
-        )
+    reason = eq9_refusal(l)
+    if reason is not None:
+        raise UsageError(reason)
     system = weyl_mod.weyl_system(l)
     lam0 = 1.0 - (l - 1) * p / l
     lam = (lam0,) + ((p / l),) * (l - 1)

@@ -16,13 +16,14 @@ import io
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
 
 from . import __version__
 from .channels import (
     KrausChannel,
     depolarizing,
+    eq9_refusal,
     identity_channel,
     pauli_qubit,
     phase_damping,
@@ -32,14 +33,7 @@ from .entropy import c1_upper_bound, covariant_c1, vn_nats
 from .errors import NumericalError, UsageError, ValidationError
 from .fileio import load_channel, load_state
 from .optimize import min_output_entropy
-from .reporting import (
-    AdditivityReport,
-    MultiplicativityReport,
-    Prop4Report,
-    PropositionReport,
-    SuiteReport,
-    to_json,
-)
+from .reporting import Check, timed, to_json
 from .verify import (
     check_additivity,
     check_eq3,
@@ -57,21 +51,7 @@ from .verify import (
     verify_theorem,
 )
 
-LN2 = math.log(2.0)
-
-# Witness keys holding entropies in nats; converted alongside lhs/rhs/margin
-# when --log-base 2 is requested.
-ENTROPY_WITNESS_KEYS = frozenset({
-    "value", "s_min", "s_min_a", "s_min_b", "s_min_joint", "log_dim", "c1",
-    "closed_form", "s_min_composed", "s_min_depolarizing", "h_constant",
-    "state_entropy",
-})
-
 CHANNEL_KINDS = ("identity", "depolarizing", "phase-damping", "damped-depolarizing", "pauli", "file")
-VERIFY_CLAIMS = (
-    "eq3", "eq5", "eq9", "eq12", "prop1", "prop2", "prop3", "prop4",
-    "theorem", "monotonicity", "all",
-)
 
 
 @dataclass
@@ -110,32 +90,18 @@ class RunConfig:
         return self.q
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "claim": self.claim,
-            "l": self.l,
-            "p": self.p,
-            "q": list(self.resolved_q()),
-            "lambdas": list(self.lambdas) if self.lambdas else None,
-            "p_norm": self.p_norm,
-            "channel": self.channel,
-            "channel_file": self.channel_file,
-            "state_file": self.state_file,
-            "restarts": self.restarts,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "seed": self.seed,
-            "samples": self.samples,
-            "pairs": self.pairs,
-            "eq13_samples": self.eq13_samples,
-            "transversal": self.transversal,
-            "mode": self.mode,
-            "search_count": self.search_count,
-            "log_base": self.log_base,
-            "output_format": self.output_format,
-            # output_path is deliberately not echoed: it does not influence
-            # any computed value, and identical configs must yield identical bytes.
-        }
+        """Every field in declaration order, q resolved and tuples as lists.
+
+        output_path is deliberately not echoed: it does not influence any
+        computed value, and identical configs must yield identical bytes.
+        """
+        echo = {}
+        for f in fields(self):
+            if f.name == "output_path":
+                continue
+            value = self.resolved_q() if f.name == "q" else getattr(self, f.name)
+            echo[f.name] = list(value) if isinstance(value, tuple) else value
+        return echo
 
 
 def _validate_config(cfg: RunConfig) -> None:
@@ -184,327 +150,148 @@ def build_channel(cfg: RunConfig) -> KrausChannel:
 
 
 # ---------------------------------------------------------------------------
-# Check entries
+# Runners: each maps a config to the checks of its report.  They name qchan
+# functions through this module's globals when they run, never through objects
+# captured at import, so a function replaced on the module is the one called.
 
 
-@dataclass
-class CheckEntry:
-    id: str
-    lhs: float
-    rhs: float
-    margin: float
-    tolerance: float
-    passed: bool
-    witness: Any
-    seed: int | None
-    elapsed_ms: float
-    units: str = "dimensionless"
-
-    def as_dict(self, log_base: str) -> dict[str, Any]:
-        scale = 1.0 / LN2 if (log_base == "2" and self.units == "nats") else 1.0
-        units = self.units
-        if self.units == "nats" and log_base == "2":
-            units = "bits"
-
-        def conv(x: float) -> float:
-            return x if math.isinf(x) else x * scale
-
-        witness = self.witness
-        if scale != 1.0 and isinstance(witness, dict):
-            witness = {
-                key: conv(val) if key in ENTROPY_WITNESS_KEYS and isinstance(val, float) else val
-                for key, val in witness.items()
-            }
-        return {
-            "id": self.id,
-            "lhs": conv(self.lhs),
-            "rhs": conv(self.rhs),
-            "margin": conv(self.margin),
-            "tolerance": conv(self.tolerance),
-            "pass": self.passed,
-            "witness": witness,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-            "units": units,
-        }
+def _one(make: Callable[[RunConfig], Check]) -> Callable[[RunConfig], list[Check]]:
+    """The runner of a command with a single check, timed here."""
+    return lambda cfg: [timed(lambda: make(cfg))]
 
 
-def _timed(fn: Callable[[], CheckEntry]) -> CheckEntry:
-    start = time.perf_counter()
-    entry = fn()
-    entry.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return entry
+def _batch(cfg: RunConfig) -> dict[str, int]:
+    """``--samples`` when given; otherwise each verify function's own default."""
+    return {} if cfg.samples is None else {"samples": cfg.samples}
 
 
-def _from_proposition(rep: PropositionReport, units: str = "dimensionless") -> CheckEntry:
-    return CheckEntry(
-        id=rep.claim_id, lhs=rep.lhs, rhs=rep.rhs, margin=rep.margin,
-        tolerance=rep.tolerance, passed=rep.passed, witness=rep.witness,
-        seed=rep.seed, elapsed_ms=0.0, units=units,
-    )
+def _monotonicity(cfg: RunConfig) -> list[Check]:
+    channel = build_channel(cfg)
+    return [timed(lambda: monotonicity_suite(channel, cfg.pairs, cfg.seed)),
+            timed(lambda: entropy_increase_suite(channel, cfg.pairs, cfg.seed))]
 
 
-def _from_additivity(rep: AdditivityReport, check_id: str = "additivity") -> CheckEntry:
-    witness = {
-        "s_min_a": rep.s_min_a,
-        "s_min_b": rep.s_min_b,
-        "s_min_joint": rep.s_min_joint,
-        "schmidt_coefficients": list(rep.schmidt_coefficients),
-        "restarts": rep.restarts,
-        "converged": [rep.converged_a, rep.converged_b, rep.converged_joint],
-    }
-    return CheckEntry(
-        id=check_id, lhs=rep.s_min_joint, rhs=rep.s_min_a + rep.s_min_b, margin=rep.gap,
-        tolerance=rep.tolerance, passed=rep.passed, witness=witness, seed=rep.seed,
-        elapsed_ms=0.0, units="nats",
-    )
+_VERIFY_RUNNERS: dict[str, Callable[[RunConfig], list[Check]]] = {
+    "eq3": _one(lambda cfg: check_eq3(cfg.l, seed=cfg.seed, transversal=cfg.transversal, **_batch(cfg))),
+    "eq5": _one(lambda cfg: check_eq5(cfg.l, seed=cfg.seed, **_batch(cfg))),
+    "eq9": _one(lambda cfg: check_eq9(cfg.l, cfg.p)),
+    "eq12": _one(lambda cfg: check_eq12(cfg.l, cfg.resolved_q())),
+    "prop1": _one(lambda cfg: verify_prop1(cfg.l, seed=cfg.seed, **_batch(cfg))),
+    "prop2": _one(lambda cfg: verify_prop2(cfg.l, seed=cfg.seed, **_batch(cfg))),
+    "prop3": _one(lambda cfg: verify_prop3(
+        cfg.l, cfg.p, seed=cfg.seed, mode=cfg.mode, search_count=cfg.search_count, **_batch(cfg))),
+    # prop4 and the theorem time each of their checks themselves.
+    "prop4": lambda cfg: list(verify_prop4(cfg.l, seed=cfg.seed, **_batch(cfg))),
+    "theorem": lambda cfg: list(verify_theorem(
+        cfg.l, cfg.p, cfg.resolved_q(), cfg.restarts, cfg.seed, cfg.eq13_samples, cfg.max_iter, cfg.tol)),
+    "monotonicity": _monotonicity,
+}
+VERIFY_CLAIMS = (*_VERIFY_RUNNERS, "all")
 
 
-def _from_multiplicativity(rep: MultiplicativityReport) -> CheckEntry:
-    witness = {"p": rep.p, "norm_a": rep.norm_a, "norm_b": rep.norm_b, "restarts": rep.restarts}
-    return CheckEntry(
-        id="multiplicativity", lhs=rep.norm_joint, rhs=rep.norm_a * rep.norm_b,
-        margin=rep.deviation, tolerance=rep.tolerance, passed=rep.passed,
-        witness=witness, seed=rep.seed, elapsed_ms=0.0, units="dimensionless",
-    )
-
-
-def _from_suite(rep: SuiteReport, units: str = "nats") -> CheckEntry:
-    witness = {"samples": rep.samples, "worst_index": rep.worst_index,
-               "infinite_count": rep.infinite_count}
-    return CheckEntry(
-        id=rep.claim_id, lhs=rep.min_margin, rhs=0.0, margin=rep.min_margin,
-        tolerance=rep.tolerance, passed=rep.passed, witness=witness, seed=rep.seed,
-        elapsed_ms=0.0, units=units,
-    )
-
-
-def _from_prop4(rep: Prop4Report) -> list[CheckEntry]:
-    sampled = CheckEntry(
-        id="prop4.sampled",
-        lhs=rep.min_margin,
-        rhs=0.0,
-        margin=rep.min_margin,
-        tolerance=1e-10,
-        passed=rep.sampled_passed,
-        witness={
-            "l": rep.l,
-            "samples": rep.samples,
-            "condition_hits": rep.condition_hits,
-            "violation_count": len(rep.violations),
-            "violations": [
-                {"q": list(v.q), "min_eigenvalue": v.min_eigenvalue} for v in rep.violations
-            ],
-        },
-        seed=rep.seed,
-        elapsed_ms=0.0,
-    )
-    remark_min = min(m for _, m in rep.remark_margins)
-    remark = CheckEntry(
-        id="prop4.remark",
-        lhs=remark_min,
-        rhs=0.0,
-        margin=remark_min,
-        tolerance=1e-10,
-        passed=rep.remark_passed,
-        witness={"margins": [[big_q, m] for big_q, m in rep.remark_margins]},
-        seed=rep.seed,
-        elapsed_ms=0.0,
-    )
-    return [sampled, remark]
-
-
-# ---------------------------------------------------------------------------
-# Subcommand runners (each returns a list of CheckEntry)
-
-
-def _run_verify_claim(cfg: RunConfig, claim: str) -> list[CheckEntry]:
-    q = cfg.resolved_q()
-    samples = cfg.samples
-    if claim == "eq3":
-        n = samples if samples is not None else 100
-        return [_timed(lambda: _from_proposition(check_eq3(cfg.l, n, cfg.seed, cfg.transversal)))]
-    if claim == "eq5":
-        n = samples if samples is not None else 100
-        return [_timed(lambda: _from_proposition(check_eq5(cfg.l, n, cfg.seed)))]
-    if claim == "eq9":
-        return [_timed(lambda: _from_proposition(check_eq9(cfg.l, cfg.p)))]
-    if claim == "eq12":
-        return [_timed(lambda: _from_proposition(check_eq12(cfg.l, q)))]
-    if claim == "prop1":
-        n = samples if samples is not None else 200
-        return [_timed(lambda: _from_proposition(verify_prop1(cfg.l, n, cfg.seed), units="nats"))]
-    if claim == "prop2":
-        n = samples if samples is not None else 200
-        return [_timed(lambda: _from_proposition(verify_prop2(cfg.l, n, cfg.seed), units="nats"))]
-    if claim == "prop3":
-        n = samples if samples is not None else 200
-        return [_timed(lambda: _from_proposition(
-            verify_prop3(cfg.l, cfg.p, n, cfg.seed, mode=cfg.mode, search_count=cfg.search_count),
-            units="nats"))]
-    if claim == "prop4":
-        n = samples if samples is not None else 1000
-        entries = []
-        start = time.perf_counter()
-        rep = verify_prop4(cfg.l, n, cfg.seed)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        for entry in _from_prop4(rep):
-            entry.elapsed_ms = elapsed / 2.0
-            entries.append(entry)
-        return entries
-    if claim == "theorem":
-        start = time.perf_counter()
-        rep = verify_theorem(cfg.l, cfg.p, q, cfg.restarts, cfg.seed, cfg.eq13_samples,
-                             cfg.max_iter, cfg.tol)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        entries = [
-            _from_proposition(rep.basis_projection, units="nats"),
-            _from_proposition(rep.s_min_equality, units="nats"),
-            *[_from_proposition(r, units="nats") for r in rep.eq13],
-            _from_additivity(rep.additivity, check_id="theorem.additivity"),
-        ]
-        for entry in entries:
-            entry.elapsed_ms = elapsed / len(entries)
-        return entries
-    if claim == "monotonicity":
-        channel = build_channel(cfg)
-        out = [
-            _timed(lambda: _from_suite(monotonicity_suite(channel, cfg.pairs, cfg.seed))),
-            _timed(lambda: _from_suite(entropy_increase_suite(channel, cfg.pairs, cfg.seed))),
-        ]
-        return out
-    raise UsageError(f"unknown claim {claim!r}; choose from {VERIFY_CLAIMS}")
-
-
-def _run_verify(cfg: RunConfig) -> list[CheckEntry]:
-    if cfg.claim is None:
-        raise UsageError("verify needs a claim argument")
+def _run_verify(cfg: RunConfig) -> list[Check]:
+    if cfg.claim not in VERIFY_CLAIMS:
+        raise UsageError(f"verify needs a claim from {VERIFY_CLAIMS}")
     if cfg.claim != "all":
-        return _run_verify_claim(cfg, cfg.claim)
-    entries: list[CheckEntry] = []
+        return _VERIFY_RUNNERS[cfg.claim](cfg)
     # The monotonicity suites exercise the composed channel unless one was
-    # loaded explicitly from a file.
+    # loaded explicitly from a file.  eq9 at composite l is refused, not run.
     mono_cfg = cfg if cfg.channel == "file" else replace(cfg, channel="damped-depolarizing")
-    for claim in ("eq3", "eq5", "eq9", "eq12", "prop1", "prop2", "prop3", "prop4", "theorem"):
-        entries.extend(_run_verify_claim(cfg, claim))
-    entries.extend(_run_verify_claim(mono_cfg, "monotonicity"))
-    entries.append(_timed(lambda: _from_suite(
-        gradient_suite(cfg.samples if cfg.samples is not None else 100, cfg.seed),
-        units="dimensionless")))
-    return entries
+    eq9_reason = eq9_refusal(cfg.l)
+    checks: list[Check] = []
+    for claim, run in _VERIFY_RUNNERS.items():
+        if claim == "eq9" and eq9_reason is not None:
+            checks.append(Check("eq9", lhs=0.0, rhs=0.0, margin=0.0, tolerance=math.inf, passed=True,
+                                witness={"reason": eq9_reason}, status="refused"))
+        else:
+            checks.extend(run(mono_cfg if claim == "monotonicity" else cfg))
+    checks.append(timed(lambda: gradient_suite(seed=cfg.seed, **_batch(cfg))))
+    return checks
 
 
-def _run_channel_info(cfg: RunConfig) -> list[CheckEntry]:
-    def run() -> CheckEntry:
-        channel = build_channel(cfg)
-        checks = structural_checks(channel)
-        witness = {
-            "dim": channel.dim,
-            "kraus_count": int(channel.ops.shape[0]),
-            "tp_residual": checks.tp_residual,
-            "unitality_residual": checks.unitality_residual,
-            "choi_min_eigenvalue": checks.choi_min_eigenvalue,
-            "trace_preserving": checks.trace_preserving,
-            "unital": checks.unital,
-            "completely_positive": checks.completely_positive,
-        }
-        return CheckEntry(
-            id="channel_info", lhs=checks.choi_min_eigenvalue, rhs=0.0,
-            margin=checks.choi_min_eigenvalue, tolerance=1e-10,
-            passed=checks.trace_preserving and checks.completely_positive,
-            witness=witness, seed=cfg.seed, elapsed_ms=0.0,
-        )
-
-    return [_timed(run)]
+def _channel_info(cfg: RunConfig) -> Check:
+    channel = build_channel(cfg)
+    checks = structural_checks(channel)
+    witness = {
+        "dim": channel.dim,
+        "kraus_count": int(channel.ops.shape[0]),
+        "tp_residual": checks.tp_residual,
+        "unitality_residual": checks.unitality_residual,
+        "choi_min_eigenvalue": checks.choi_min_eigenvalue,
+        "trace_preserving": checks.trace_preserving,
+        "unital": checks.unital,
+        "completely_positive": checks.completely_positive,
+    }
+    return Check(
+        "channel_info", lhs=checks.choi_min_eigenvalue, rhs=0.0,
+        margin=checks.choi_min_eigenvalue, tolerance=1e-10,
+        passed=checks.trace_preserving and checks.completely_positive,
+        witness=witness, seed=cfg.seed,
+    )
 
 
-def _run_entropy(cfg: RunConfig) -> list[CheckEntry]:
-    def run() -> CheckEntry:
-        if cfg.state_file is None:
-            raise UsageError("--state-file is required for the entropy command")
-        rho = load_state(cfg.state_file)
-        applied = False
-        if cfg.channel_file is not None:
-            rho = load_channel(cfg.channel_file).apply(rho)
-            applied = True
-        value = vn_nats(rho.matrix)
-        witness = {"dim": rho.dim, "applied_channel_file": applied, "clamp_note": rho.note}
-        return CheckEntry(
-            id="entropy", lhs=value, rhs=value, margin=0.0, tolerance=math.inf,
-            passed=True, witness=witness, seed=cfg.seed, elapsed_ms=0.0, units="nats",
-        )
-
-    return [_timed(run)]
+def _entropy(cfg: RunConfig) -> Check:
+    if cfg.state_file is None:
+        raise UsageError("--state-file is required for the entropy command")
+    rho = load_state(cfg.state_file)
+    applied = False
+    if cfg.channel_file is not None:
+        rho = load_channel(cfg.channel_file).apply(rho)
+        applied = True
+    value = vn_nats(rho.matrix)
+    witness = {"dim": rho.dim, "applied_channel_file": applied, "clamp_note": rho.note}
+    return Check("entropy", lhs=value, rhs=value, margin=0.0, tolerance=math.inf,
+                 passed=True, witness=witness, seed=cfg.seed, units="nats")
 
 
-def _run_min_entropy(cfg: RunConfig) -> list[CheckEntry]:
-    def run() -> CheckEntry:
-        channel = build_channel(cfg)
-        res = min_output_entropy(channel, cfg.restarts, cfg.max_iter, cfg.tol, cfg.seed)
-        witness = {
-            "value": res.value,
-            "converged": res.converged,
-            "restarts": res.restarts_used,
-            "iterations": res.iterations,
-            "gradient_norm_final": res.gradient_norm_final,
-            "argmin": [[float(a.real), float(a.imag)] for a in res.argmin.amplitudes],
-        }
-        return CheckEntry(
-            id="min_output_entropy", lhs=res.value, rhs=res.value, margin=0.0,
-            tolerance=math.inf, passed=True, witness=witness, seed=cfg.seed,
-            elapsed_ms=0.0, units="nats",
-        )
-
-    return [_timed(run)]
+def _min_entropy(cfg: RunConfig) -> Check:
+    channel = build_channel(cfg)
+    res = min_output_entropy(channel, cfg.restarts, cfg.max_iter, cfg.tol, cfg.seed)
+    witness = {
+        "value": res.value,
+        "converged": res.converged,
+        "restarts": res.restarts_used,
+        "iterations": res.iterations,
+        "gradient_norm_final": res.gradient_norm_final,
+        "argmin": [[float(a.real), float(a.imag)] for a in res.argmin.amplitudes],
+    }
+    return Check("min_output_entropy", lhs=res.value, rhs=res.value, margin=0.0,
+                 tolerance=math.inf, passed=True, witness=witness, seed=cfg.seed, units="nats")
 
 
-def _run_capacity(cfg: RunConfig) -> list[CheckEntry]:
-    def run() -> CheckEntry:
-        channel = build_channel(cfg)
-        res = min_output_entropy(channel, cfg.restarts, cfg.max_iter, cfg.tol, cfg.seed)
-        covariant = cfg.channel == "depolarizing"
-        bound = (covariant_c1 if covariant else c1_upper_bound)(channel, res.value, base="e")
-        witness = {
-            "c1": bound.value,
-            "s_min": res.value,
-            "log_dim": math.log(channel.dim),
-            "kind": "equality" if bound.equality else "upper_bound",
-            "converged": res.converged,
-        }
-        return CheckEntry(
-            id="capacity", lhs=bound.value, rhs=bound.value, margin=0.0,
-            tolerance=math.inf, passed=True, witness=witness, seed=cfg.seed,
-            elapsed_ms=0.0, units="nats",
-        )
-
-    return [_timed(run)]
+def _capacity(cfg: RunConfig) -> Check:
+    channel = build_channel(cfg)
+    res = min_output_entropy(channel, cfg.restarts, cfg.max_iter, cfg.tol, cfg.seed)
+    covariant = cfg.channel == "depolarizing"
+    bound = (covariant_c1 if covariant else c1_upper_bound)(channel, res.value, base="e")
+    witness = {
+        "c1": bound.value,
+        "s_min": res.value,
+        "log_dim": math.log(channel.dim),
+        "kind": "equality" if bound.equality else "upper_bound",
+        "converged": res.converged,
+    }
+    return Check("capacity", lhs=bound.value, rhs=bound.value, margin=0.0,
+                 tolerance=math.inf, passed=True, witness=witness, seed=cfg.seed, units="nats")
 
 
-def _run_additivity(cfg: RunConfig) -> list[CheckEntry]:
-    def run() -> CheckEntry:
-        channel = build_channel(cfg)
-        rep = check_additivity(channel, channel, cfg.restarts, cfg.seed,
-                               max_iter=cfg.max_iter, grad_tol=cfg.tol)
-        return _from_additivity(rep)
-
-    return [_timed(run)]
+def _additivity(cfg: RunConfig) -> Check:
+    channel = build_channel(cfg)
+    return check_additivity(channel, channel, cfg.restarts, cfg.seed,
+                            max_iter=cfg.max_iter, grad_tol=cfg.tol).to_check()
 
 
-def _run_multiplicativity(cfg: RunConfig) -> list[CheckEntry]:
-    def run() -> CheckEntry:
-        channel = build_channel(cfg)
-        rep = check_multiplicativity(channel, channel, cfg.p_norm, cfg.restarts, cfg.seed,
-                                     max_iter=cfg.max_iter, grad_tol=cfg.tol)
-        return _from_multiplicativity(rep)
-
-    return [_timed(run)]
+def _multiplicativity(cfg: RunConfig) -> Check:
+    channel = build_channel(cfg)
+    return check_multiplicativity(channel, channel, cfg.p_norm, cfg.restarts, cfg.seed,
+                                  max_iter=cfg.max_iter, grad_tol=cfg.tol).to_check()
 
 
 # ---------------------------------------------------------------------------
 # Report document and output formats
 
 
-def build_report(cfg: RunConfig, entries: list[CheckEntry], wall_ms: float) -> dict[str, Any]:
+def build_report(cfg: RunConfig, entries: list[Check], wall_ms: float) -> dict[str, Any]:
     return {
         "version": __version__,
         "config": cfg.as_dict(),
@@ -535,7 +322,7 @@ def render_report(report: dict[str, Any], output_format: str) -> str:
         return buf.getvalue()
     lines = [f"qchan {report['version']} -- {report['config']['command']}"]
     for check in report["checks"]:
-        status = "pass" if check["pass"] else "FAIL"
+        status = check.get("status") or ("pass" if check["pass"] else "FAIL")
         lines.append(
             f"  [{status}] {check['id']}: margin={_csv_number(check['margin'])} "
             f"(lhs={_csv_number(check['lhs'])}, rhs={_csv_number(check['rhs'])}, "
@@ -614,45 +401,23 @@ def _parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str]) -> RunConfig:
     ns = _parser().parse_args(argv)
-    lambdas = _parse_floats(getattr(ns, "lambdas", None), "--lambdas")
+    lambdas = _parse_floats(ns.lambdas, "--lambdas")
     if lambdas is not None and len(lambdas) != 3:
         raise UsageError("--lambdas needs exactly three comma-separated numbers")
-    cfg = RunConfig(
-        command=ns.command,
-        claim=getattr(ns, "claim", None),
-        l=ns.l,
-        p=ns.p,
-        q=_parse_floats(ns.q, "--q"),
-        lambdas=lambdas,
-        p_norm=ns.p_norm,
-        channel=ns.channel,
-        channel_file=ns.channel_file,
-        state_file=ns.state_file,
-        restarts=ns.restarts,
-        max_iter=ns.max_iter,
-        tol=ns.tol,
-        seed=ns.seed,
-        samples=ns.samples,
-        pairs=ns.pairs,
-        eq13_samples=ns.eq13_samples,
-        transversal=ns.transversal,
-        mode=ns.mode,
-        search_count=ns.search_count,
-        log_base=ns.log_base,
-        output_format=ns.output_format,
-        output_path=ns.output_path,
-    )
+    # Every field is an attribute of the namespace, except the claim outside `verify`.
+    values = {f.name: getattr(ns, f.name, None) for f in fields(RunConfig)}
+    cfg = RunConfig(**{**values, "q": _parse_floats(ns.q, "--q"), "lambdas": lambdas})
     _validate_config(cfg)
     return cfg
 
 
-_RUNNERS: dict[str, Callable[[RunConfig], list[CheckEntry]]] = {
-    "channel-info": _run_channel_info,
-    "entropy": _run_entropy,
-    "min-entropy": _run_min_entropy,
-    "capacity": _run_capacity,
-    "additivity": _run_additivity,
-    "multiplicativity": _run_multiplicativity,
+_RUNNERS: dict[str, Callable[[RunConfig], list[Check]]] = {
+    "channel-info": _one(_channel_info),
+    "entropy": _one(_entropy),
+    "min-entropy": _one(_min_entropy),
+    "capacity": _one(_capacity),
+    "additivity": _one(_additivity),
+    "multiplicativity": _one(_multiplicativity),
     "verify": _run_verify,
 }
 

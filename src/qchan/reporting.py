@@ -9,15 +9,29 @@ numbers, become the strings "inf" / "-inf".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+import time
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
+LN2 = math.log(2.0)
+
+# Witness keys holding entropies in nats; converted alongside lhs/rhs/margin
+# when --log-base 2 is requested.
+ENTROPY_WITNESS_KEYS = frozenset({
+    "value", "s_min", "s_min_a", "s_min_b", "s_min_joint", "log_dim", "c1",
+    "closed_form", "s_min_composed", "s_min_depolarizing", "h_constant",
+    "state_entropy",
+})
+
 
 @dataclass(frozen=True)
-class PropositionReport:
-    """Verdict for one claim instance or batch (worst case)."""
+class Check:
+    """Verdict for one claim instance or batch (worst case); one report entry.
+
+    ``status`` is set only for a claim that was refused rather than run.
+    """
 
     claim_id: str
     lhs: float
@@ -27,28 +41,63 @@ class PropositionReport:
     passed: bool
     witness: dict[str, Any] | None = None
     seed: int | None = None
+    units: str = "dimensionless"
+    elapsed_ms: float = field(default=0.0, compare=False)
+    status: str | None = None
+
+    def as_dict(self, log_base: str = "e") -> dict[str, Any]:
+        """The report entry, with nats converted to bits when ``log_base`` is "2"."""
+        to_bits = log_base == "2" and self.units == "nats"
+        scale = 1.0 / LN2 if to_bits else 1.0
+
+        def conv(x: float) -> float:
+            return x if math.isinf(x) else x * scale
+
+        witness = self.witness
+        if to_bits and isinstance(witness, dict):
+            witness = {
+                key: conv(val) if key in ENTROPY_WITNESS_KEYS and isinstance(val, float) else val
+                for key, val in witness.items()
+            }
+        entry = {
+            "id": self.claim_id,
+            "lhs": conv(self.lhs),
+            "rhs": conv(self.rhs),
+            "margin": conv(self.margin),
+            "tolerance": conv(self.tolerance),
+            "pass": self.passed,
+            "witness": witness,
+            "seed": self.seed,
+            "elapsed_ms": self.elapsed_ms,
+            "units": "bits" if to_bits else self.units,
+        }
+        if self.status is not None:
+            entry["status"] = self.status
+        return entry
 
 
-def proposition_report(
+def verdict(
     claim_id: str,
     lhs: float,
     rhs: float,
     tolerance: float,
     witness: dict[str, Any] | None = None,
     seed: int | None = None,
-) -> PropositionReport:
-    """Build a report, deriving margin and pass from the normalized convention."""
+    units: str = "dimensionless",
+) -> Check:
+    """Build a check, deriving margin and pass from the normalized convention."""
     margin = lhs - rhs
-    return PropositionReport(
-        claim_id=claim_id,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        tolerance=tolerance,
-        passed=bool(margin >= -tolerance),
-        witness=witness,
-        seed=seed,
+    return Check(
+        claim_id=claim_id, lhs=lhs, rhs=rhs, margin=margin, tolerance=tolerance,
+        passed=bool(margin >= -tolerance), witness=witness, seed=seed, units=units,
     )
+
+
+def timed(make: Callable[[], Check]) -> Check:
+    """``make()`` stamped with its own wall time in milliseconds."""
+    start = time.perf_counter()
+    check = make()
+    return replace(check, elapsed_ms=(time.perf_counter() - start) * 1000.0)
 
 
 @dataclass(frozen=True)
@@ -68,6 +117,21 @@ class AdditivityReport:
     converged_b: bool
     converged_joint: bool
 
+    def to_check(self, check_id: str = "additivity") -> Check:
+        witness = {
+            "s_min_a": self.s_min_a,
+            "s_min_b": self.s_min_b,
+            "s_min_joint": self.s_min_joint,
+            "schmidt_coefficients": list(self.schmidt_coefficients),
+            "restarts": self.restarts,
+            "converged": [self.converged_a, self.converged_b, self.converged_joint],
+        }
+        return Check(
+            claim_id=check_id, lhs=self.s_min_joint, rhs=self.s_min_a + self.s_min_b,
+            margin=self.gap, tolerance=self.tolerance, passed=self.passed, witness=witness,
+            seed=self.seed, units="nats",
+        )
+
 
 @dataclass(frozen=True)
 class MultiplicativityReport:
@@ -83,53 +147,13 @@ class MultiplicativityReport:
     tolerance: float
     passed: bool
 
-
-@dataclass(frozen=True)
-class Prop4Violation:
-    """A sampled coefficient vector meeting the averaging condition yet not CP."""
-
-    q: tuple[float, ...]
-    min_eigenvalue: float
-
-
-@dataclass(frozen=True)
-class Prop4Report:
-    """Batch CP test of damping coefficients satisfying the averaging condition."""
-
-    l: int
-    samples: int
-    seed: int
-    condition_hits: int
-    min_margin: float
-    violations: tuple[Prop4Violation, ...]
-    remark_margins: tuple[tuple[float, float], ...]  # (Q, margin) pairs
-    remark_passed: bool
-    sampled_passed: bool
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    """Worst margin over a sampled batch of one inequality."""
-
-    claim_id: str
-    samples: int
-    seed: int
-    min_margin: float
-    tolerance: float
-    passed: bool
-    worst_index: int
-    infinite_count: int = 0
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    """All sub-checks of the composed-channel additivity statement."""
-
-    basis_projection: PropositionReport
-    s_min_equality: PropositionReport
-    eq13: tuple[PropositionReport, ...]
-    additivity: AdditivityReport
-    passed: bool
+    def to_check(self) -> Check:
+        witness = {"p": self.p, "norm_a": self.norm_a, "norm_b": self.norm_b, "restarts": self.restarts}
+        return Check(
+            claim_id="multiplicativity", lhs=self.norm_joint, rhs=self.norm_a * self.norm_b,
+            margin=self.deviation, tolerance=self.tolerance, passed=self.passed,
+            witness=witness, seed=self.seed,
+        )
 
 
 def _format_float(x: float) -> str:
@@ -159,33 +183,16 @@ def to_json(obj: Any, indent: int | None = 2) -> str:
 
     ``indent=None`` emits a compact single line (no trailing newline).
     """
+    text = "".join(_emit(obj, indent, 0))
+    return text if indent is None else text + "\n"
+
+
+def _emit(obj: Any, indent: int | None, level: int):
     if indent is None:
-        return _emit_compact(obj)
-    return "".join(_emit(obj, indent, 0)) + "\n"
-
-
-def _emit_compact(obj: Any) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
-    if isinstance(obj, dict):
-        inner = ",".join(f'"{_escape(k)}":{_emit_compact(v)}' for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_emit_compact(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)} into a report")
-
-
-def _emit(obj: Any, indent: int, level: int):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+        first, sep, last, colon = "", ",", "", ":"
+    else:
+        pad_in = " " * (indent * (level + 1))
+        first, sep, last, colon = "\n" + pad_in, ",\n" + pad_in, "\n" + " " * (indent * level), ": "
     if obj is None:
         yield "null"
     elif isinstance(obj, bool):
@@ -200,24 +207,22 @@ def _emit(obj: Any, indent: int, level: int):
         if not obj:
             yield "{}"
             return
-        yield "{\n"
+        yield "{"
         for i, (key, val) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {type(key)}")
-            yield f'{pad_in}"{_escape(key)}": '
+            yield f'{sep if i else first}"{_escape(key)}"{colon}'
             yield from _emit(val, indent, level + 1)
-            yield ",\n" if i < len(obj) - 1 else "\n"
-        yield pad + "}"
+        yield last + "}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
             yield "[]"
             return
-        yield "[\n"
+        yield "["
         for i, val in enumerate(seq):
-            yield pad_in
+            yield sep if i else first
             yield from _emit(val, indent, level + 1)
-            yield ",\n" if i < len(seq) - 1 else "\n"
-        yield pad + "]"
+        yield last + "]"
     else:
         raise TypeError(f"cannot serialize {type(obj)} into a report")

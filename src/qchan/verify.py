@@ -1,15 +1,19 @@
 """Verification harness: structural identities, propositions, additivity.
 
-Every check returns a structured report; batch checks report the worst
-instance.  Tolerance ledger: exact algebraic identities 1e-10..1e-12,
-inequality claims -1e-9 (arithmetic-limited), optimizer-backed equalities
-1e-5..1e-6 (restart-limited).
+Every claim returns ``reporting.Check`` records, the entries of the report:
+one per claim, a (sampled, remark) pair for prop4 and five sub-checks in
+report order for the theorem, each of those timed on its own.  Batch checks
+run through ``worst_over``, which scores each sample on its own substream and
+keeps the lowest margin.  Tolerance ledger: exact algebraic identities
+1e-10..1e-12, inequality claims -1e-9 (arithmetic-limited), optimizer-backed
+equalities 1e-5..1e-6 (restart-limited).
 """
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
+from dataclasses import replace
 from types import MappingProxyType
 
 import numpy as np
@@ -37,16 +41,7 @@ from .optimize import (
     max_output_purity,
     min_output_entropy,
 )
-from .reporting import (
-    AdditivityReport,
-    MultiplicativityReport,
-    Prop4Report,
-    Prop4Violation,
-    PropositionReport,
-    SuiteReport,
-    TheoremReport,
-    proposition_report,
-)
+from .reporting import AdditivityReport, Check, MultiplicativityReport, timed, verdict
 from .rng import substream
 from .states import (
     DensityMatrix,
@@ -68,6 +63,7 @@ MULTIPLICATIVITY_TOL = 1e-5
 BASIS_PROJ_TOL = 1e-11
 GRADIENT_TOL = 1e-5
 MARGINAL_TOL = 1e-8
+PROP4_TOL = 1e-10
 
 
 # Lifted tables kept per process, one per (system, dim_k) or (resolution,
@@ -119,6 +115,25 @@ def _family_mixture(
     return acc
 
 
+def worst_over(
+    samples: int, seed: int, draw: Callable[[np.random.Generator, int], Check], *path: int
+) -> Check:
+    """The lowest-margin check of ``draw(substream(seed, *path, i), i)`` over the batch.
+
+    The first index wins a tie.  The witness gains ``worst_index`` and
+    ``samples``, and the record carries the batch seed.
+    """
+    if samples < 1:
+        raise UsageError(f"samples must be >= 1, got {samples}")
+    worst, worst_index = None, 0
+    for i in range(samples):
+        check = draw(substream(seed, *path, i), i)
+        if worst is None or check.margin < worst.margin:
+            worst, worst_index = check, i
+    witness = {**(worst.witness or {}), "worst_index": worst_index, "samples": samples}
+    return replace(worst, witness=witness, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Resolution-of-identity and intertwining residuals (claims eq3, eq5)
 
@@ -146,25 +161,16 @@ def resolution_residual(
     return frobenius(total - np.eye(system.l))
 
 
-def check_eq3(l: int, samples: int = 100, seed: int = 0, transversal: str = "shift") -> PropositionReport:
+def check_eq3(l: int, samples: int = 100, seed: int = 0, transversal: str = "shift") -> Check:
     """Worst resolution residual over random mixed and pure states."""
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
     system = weyl_mod.weyl_system(l)
-    worst = -1.0
-    worst_index = 0
-    for i in range(samples):
-        rng = substream(seed, i)
-        rank = int(rng.integers(1, l + 1))
-        x = random_density_from(rng, l, rank)
-        residual = resolution_residual(system, x, transversal)
-        if residual > worst:
-            worst, worst_index = residual, i
-    return proposition_report(
-        "eq3", lhs=0.0, rhs=worst, tolerance=RESIDUAL_TOL,
-        witness={"transversal": transversal, "samples": samples, "worst_index": worst_index},
-        seed=seed,
-    )
+
+    def draw(rng, i):
+        x = random_density_from(rng, l, int(rng.integers(1, l + 1)))
+        return verdict("eq3", lhs=0.0, rhs=resolution_residual(system, x, transversal),
+                       tolerance=RESIDUAL_TOL, witness={"transversal": transversal})
+
+    return worst_over(samples, seed, draw)
 
 
 def intertwining_residuals(
@@ -178,47 +184,38 @@ def intertwining_residuals(
     return r1, r2
 
 
-def check_eq5(l: int, samples: int = 100, seed: int = 0) -> PropositionReport:
+def check_eq5(l: int, samples: int = 100, seed: int = 0) -> Check:
     """Worst intertwining residual over families, random weights and states."""
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
-    system = weyl_mod.weyl_system(l)
-    families = weyl_mod.all_order_l_subgroups(system)
-    worst = -1.0
-    worst_witness: dict = {}
-    for i in range(samples):
-        rng = substream(seed, i)
+    families = weyl_mod.all_order_l_subgroups(weyl_mod.weyl_system(l))
+
+    def draw(rng, i):
         family = families[i % len(families)]
         weights = rng.dirichlet(np.ones(l))
         x = random_density_from(rng, l, int(rng.integers(1, l + 1)))
         r1, r2 = intertwining_residuals(family, weights, x)
-        if max(r1, r2) > worst:
-            worst = max(r1, r2)
-            worst_witness = {"family": family.label, "index": i,
-                             "residual_e_phi": r1, "residual_phi_e": r2}
-    worst_witness["samples"] = samples
-    return proposition_report(
-        "eq5", lhs=0.0, rhs=worst, tolerance=RESIDUAL_TOL, witness=worst_witness, seed=seed
-    )
+        return verdict("eq5", lhs=0.0, rhs=max(r1, r2), tolerance=RESIDUAL_TOL,
+                       witness={"family": family.label, "residual_e_phi": r1, "residual_phi_e": r2})
+
+    return worst_over(samples, seed, draw)
 
 
-def check_eq9(l: int, p: float) -> PropositionReport:
+def check_eq9(l: int, p: float) -> Check:
     """Choi distance between the coset decomposition and the depolarizing channel."""
     dec = eq9_decomposition(l, p)
     normalization = abs(dec.c0 + (l - 1) * dec.c1 - 1.0 / l)
-    return proposition_report(
+    return verdict(
         "eq9", lhs=0.0, rhs=dec.choi_distance_to_depolarizing, tolerance=EQ9_TOL,
         witness={"c0": dec.c0, "c1": dec.c1, "normalization_residual": normalization,
                  "l": l, "p": p},
     )
 
 
-def check_eq12(l: int, q) -> PropositionReport:
+def check_eq12(l: int, q) -> Check:
     """Diagnostic reconstruction residual; reported, never asserted (open question)."""
     params = q if isinstance(q, PhaseDampingParams) else PhaseDampingParams(l=l, q=tuple(np.atleast_1d(q)))
     report = eq12_representation(params)
     worst = np.unravel_index(int(np.argmax(report.entry_residuals)), report.entry_residuals.shape)
-    return proposition_report(
+    return verdict(
         "eq12", lhs=0.0, rhs=report.reconstruction_residual, tolerance=math.inf,
         witness={
             "q_bar": report.q_bar,
@@ -241,7 +238,7 @@ def prop1_report(
     x: DensityMatrix,
     dim_k: int,
     seed: int | None = None,
-) -> PropositionReport:
+) -> Check:
     """S((Phi (x) Id)(x)) >= S(coset mixture) for product weights mu = lam * eps.
 
     ``lam`` weighs the phase transversal {(0, k)}, ``eps`` the shift subgroup
@@ -269,33 +266,24 @@ def prop1_report(
         rhs_mat = rhs_mat + lam[k] * (u @ x.matrix @ dagger(u))
     lhs = vn_nats(lhs_mat)
     rhs = vn_nats(rhs_mat)
-    return proposition_report(
+    return verdict(
         "prop1", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
         witness={"lambda": lam.tolist(), "epsilon": eps.tolist(), "dim_k": dim_k},
-        seed=seed,
+        seed=seed, units="nats",
     )
 
 
-def verify_prop1(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = None) -> PropositionReport:
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
+def verify_prop1(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = None) -> Check:
     dim_k = l if dim_k is None else dim_k
     system = weyl_mod.weyl_system(l)
-    worst: PropositionReport | None = None
-    for i in range(samples):
-        rng = substream(seed, i)
+
+    def draw(rng, i):
         lam = rng.dirichlet(np.ones(l))
         eps = rng.dirichlet(np.ones(l))
         x = random_density_from(rng, l * dim_k, int(rng.integers(1, l * dim_k + 1)))
-        rep = prop1_report(system, lam, eps, x, dim_k)
-        if worst is None or rep.margin < worst.margin:
-            worst = PropositionReport(
-                claim_id=rep.claim_id, lhs=rep.lhs, rhs=rep.rhs, margin=rep.margin,
-                tolerance=rep.tolerance, passed=rep.passed,
-                witness={**(rep.witness or {}), "worst_index": i, "samples": samples},
-                seed=seed,
-            )
-    return worst
+        return prop1_report(system, lam, eps, x, dim_k)
+
+    return worst_over(samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +296,7 @@ def prop2_report(
     x: DensityMatrix,
     dim_k: int,
     seed: int | None = None,
-) -> PropositionReport:
+) -> Check:
     """S((Phi (x) Id)(x)) >= H(lam) + Sum_k S_sub(Tr_H((P_k (x) I) E(x))) - log l."""
     system = family.system
     l = system.l
@@ -326,34 +314,24 @@ def prop2_report(
         block = partial_trace(proj @ ex, l, dim_k, side="left")
         middle += subnormalized_entropy(block)
     rhs = entropy_of_spectrum(lam) + middle - math.log(l)
-    return proposition_report(
+    return verdict(
         "prop2", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
         witness={"family": family.label, "lambda": lam.tolist(), "dim_k": dim_k},
-        seed=seed,
+        seed=seed, units="nats",
     )
 
 
-def verify_prop2(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = None) -> PropositionReport:
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
+def verify_prop2(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = None) -> Check:
     dim_k = l if dim_k is None else dim_k
-    system = weyl_mod.weyl_system(l)
-    families = weyl_mod.all_order_l_subgroups(system)
-    worst: PropositionReport | None = None
-    for i in range(samples):
-        rng = substream(seed, i)
+    families = weyl_mod.all_order_l_subgroups(weyl_mod.weyl_system(l))
+
+    def draw(rng, i):
         family = families[i % len(families)]
         lam = rng.dirichlet(np.ones(l))
         x = random_density_from(rng, l * dim_k, int(rng.integers(1, l * dim_k + 1)))
-        rep = prop2_report(family, lam, x, dim_k)
-        if worst is None or rep.margin < worst.margin:
-            worst = PropositionReport(
-                claim_id=rep.claim_id, lhs=rep.lhs, rhs=rep.rhs, margin=rep.margin,
-                tolerance=rep.tolerance, passed=rep.passed,
-                witness={**(rep.witness or {}), "worst_index": i, "samples": samples},
-                seed=seed,
-            )
-    return worst
+        return prop2_report(family, lam, x, dim_k)
+
+    return worst_over(samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +352,7 @@ def prop3_report(
     mode: str = "constructive",
     search_count: int = 200,
     seed: int | None = None,
-) -> PropositionReport:
+) -> Check:
     """S((Phi (x) Id)(x)) >= h(p, l) + S(rho) with rho = l Tr_H((P (x) I) x).
 
     Constructive mode follows the proof and needs Tr_K(x) = I/l within 1e-8;
@@ -389,7 +367,7 @@ def prop3_report(
 def _prop3_report(
     lifted: KrausChannel, l: int, p: float, x: DensityMatrix, dim_k: int,
     mode: str, search_count: int, seed: int | None,
-) -> PropositionReport:
+) -> Check:
     """``prop3_report`` with Phi (x) Id_K built by the caller."""
     if x.dim != l * dim_k:
         raise UsageError(f"state dimension {x.dim} != {l} * {dim_k}")
@@ -426,7 +404,7 @@ def _prop3_report(
         witness = {
             "mode": mode, "subgroup": best[0], "projection": best[1],
             "trace_deviation": trace_dev, "marginal_deviation": deviation,
-            "h_constant": h_const, "state_entropy": best_entropy,
+            "h_constant": h_const, "state_entropy": best_entropy, "p": p,
         }
     elif mode == "search":
         rng = substream(seed if seed is not None else 0, 999)
@@ -450,20 +428,20 @@ def _prop3_report(
                 best_margin = margin
                 best_entropy = entr
         if kept == 0:
-            return proposition_report(
+            return verdict(
                 "prop3", lhs=lhs, rhs=math.inf, tolerance=INEQ_TOL,
-                witness={"mode": mode, "candidates_kept": 0,
+                witness={"mode": mode, "candidates_kept": 0, "p": p,
                          "note": "no projection matched the 1/l overlap requirement"},
-                seed=seed,
+                seed=seed, units="nats",
             )
         rhs = lhs - best_margin
         witness = {"mode": mode, "candidates_kept": kept,
-                   "h_constant": h_const, "state_entropy": best_entropy}
+                   "h_constant": h_const, "state_entropy": best_entropy, "p": p}
     else:
         raise UsageError(f"mode must be 'constructive' or 'search', got {mode!r}")
 
-    return proposition_report("prop3", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
-                              witness=witness, seed=seed)
+    return verdict("prop3", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
+                   witness=witness, seed=seed, units="nats")
 
 
 def random_mixed_marginal_state(rng: np.random.Generator, l: int, dim_k: int, max_terms: int = 3) -> DensityMatrix:
@@ -494,76 +472,65 @@ def verify_prop3(
     dim_k: int | None = None,
     mode: str = "constructive",
     search_count: int = 200,
-) -> PropositionReport:
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
+) -> Check:
     dim_k = l if dim_k is None else dim_k
     lifted = depolarizing(l, p).tensor(identity_channel(dim_k))
-    worst: PropositionReport | None = None
-    for i in range(samples):
-        rng = substream(seed, i)
+
+    def draw(rng, i):
         x = random_mixed_marginal_state(rng, l, dim_k)
-        rep = _prop3_report(lifted, l, p, x, dim_k, mode, search_count, seed)
-        if worst is None or rep.margin < worst.margin:
-            worst = PropositionReport(
-                claim_id=rep.claim_id, lhs=rep.lhs, rhs=rep.rhs, margin=rep.margin,
-                tolerance=rep.tolerance, passed=rep.passed,
-                witness={**(rep.witness or {}), "worst_index": i, "samples": samples, "p": p},
-                seed=seed,
-            )
-    return worst
+        return _prop3_report(lifted, l, p, x, dim_k, mode, search_count, seed)
+
+    return worst_over(samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------
 # prop4: averaging condition versus the exact CP certificate
 
 
-def verify_prop4(l: int, samples: int = 1000, seed: int = 0) -> Prop4Report:
+def verify_prop4(l: int, samples: int = 1000, seed: int = 0) -> tuple[Check, Check]:
     """Test the averaging condition against Schur-matrix positivity.
 
-    Samples q uniformly from [0,1]^(l-1), keeps the vectors satisfying
-    q_j <= (1 + Sum_{j<=l-2} q_j)/(l-1) for 1 <= j <= l-2, and records the
-    minimum Schur eigenvalue.  Counterexamples are reported with their
-    certificate eigenvalue, not suppressed.  The constant-Q family
-    Q in {0, 0.1, .., 1} is always run explicitly.
+    ``prop4.sampled`` draws q uniformly from [0,1]^(l-1), keeps the vectors
+    satisfying q_j <= (1 + Sum_{j<=l-2} q_j)/(l-1) for 1 <= j <= l-2, and
+    records the minimum Schur eigenvalue.  Counterexamples are listed with
+    their certificate eigenvalue, not suppressed.  ``prop4.remark`` runs the
+    constant-Q family Q in {0, 0.1, .., 1}.
     """
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     if l < 2:
         raise UsageError(f"dimension l must be >= 2, got {l}")
-    violations: list[Prop4Violation] = []
-    min_margin = math.inf
-    hits = 0
-    for i in range(samples):
-        rng = substream(seed, i)
-        q = rng.uniform(size=l - 1)
-        q_bar = (1.0 + float(q[: l - 2].sum())) / (l - 1)
-        if not np.all(q[: l - 2] <= q_bar):
-            continue
-        hits += 1
-        report = schur_matrix(PhaseDampingParams(l=l, q=tuple(q)))
-        margin = report.min_eigenvalue
-        min_margin = min(min_margin, margin)
-        if margin < -1e-10:
-            violations.append(Prop4Violation(q=tuple(float(v) for v in q), min_eigenvalue=margin))
-    remark = []
-    remark_ok = True
-    for step in range(11):
-        big_q = step / 10.0
-        report = schur_matrix(PhaseDampingParams(l=l, q=(big_q,) * (l - 1)))
-        remark.append((big_q, report.min_eigenvalue))
-        remark_ok = remark_ok and report.min_eigenvalue >= -1e-10
-    return Prop4Report(
-        l=l,
-        samples=samples,
-        seed=seed,
-        condition_hits=hits,
-        min_margin=min_margin if hits else math.inf,
-        violations=tuple(violations),
-        remark_margins=tuple(remark),
-        remark_passed=remark_ok,
-        sampled_passed=not violations,
-    )
+
+    def sampled() -> Check:
+        violations = []
+        min_margin = math.inf
+        hits = 0
+        for i in range(samples):
+            q = substream(seed, i).uniform(size=l - 1)
+            q_bar = (1.0 + float(q[: l - 2].sum())) / (l - 1)
+            if not np.all(q[: l - 2] <= q_bar):
+                continue
+            hits += 1
+            margin = schur_matrix(PhaseDampingParams(l=l, q=tuple(q))).min_eigenvalue
+            min_margin = min(min_margin, margin)
+            if margin < -PROP4_TOL:
+                violations.append({"q": [float(v) for v in q], "min_eigenvalue": margin})
+        return verdict(
+            "prop4.sampled", lhs=min_margin, rhs=0.0, tolerance=PROP4_TOL, seed=seed,
+            witness={"l": l, "samples": samples, "condition_hits": hits,
+                     "violation_count": len(violations), "violations": violations},
+        )
+
+    def remark() -> Check:
+        margins = []
+        for step in range(11):
+            big_q = step / 10.0
+            report = schur_matrix(PhaseDampingParams(l=l, q=(big_q,) * (l - 1)))
+            margins.append([big_q, report.min_eigenvalue])
+        return verdict("prop4.remark", lhs=min(m for _, m in margins), rhs=0.0, tolerance=PROP4_TOL,
+                       witness={"margins": margins}, seed=seed)
+
+    return timed(sampled), timed(remark)
 
 
 # ---------------------------------------------------------------------------
@@ -650,48 +617,40 @@ def check_multiplicativity(
 # Relative entropy monotonicity and bistochastic entropy increase
 
 
-def monotonicity_suite(c: KrausChannel, pairs: int = 1000, seed: int = 0) -> SuiteReport:
-    """min over pairs of S(rho1, rho2) - S(c(rho1), c(rho2)); infinite lhs passes."""
-    if pairs < 1:
-        raise UsageError(f"pairs must be >= 1, got {pairs}")
-    min_margin = math.inf
-    worst = 0
+def monotonicity_suite(c: KrausChannel, pairs: int = 1000, seed: int = 0) -> Check:
+    """min over pairs of S(rho1, rho2) - S(c(rho1), c(rho2)); infinite lhs passes.
+
+    A pair with infinite relative entropy scores margin inf and is counted in
+    the witness's ``infinite_count``.
+    """
     infinite = 0
-    for i in range(pairs):
-        rng = substream(seed, i)
+
+    def draw(rng, i):
+        nonlocal infinite
         rho1 = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
         rho2 = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
         before = relative_entropy_nats(rho1.matrix, rho2.matrix)
         if math.isinf(before):
             infinite += 1
-            continue
-        after = relative_entropy_nats(c.apply_matrix(rho1.matrix), c.apply_matrix(rho2.matrix))
-        margin = before - after  # after is finite when before is, up to the kernel cutoff
-        if margin < min_margin:
-            min_margin, worst = margin, i
-    return SuiteReport(
-        claim_id="monotonicity", samples=pairs, seed=seed, min_margin=min_margin,
-        tolerance=INEQ_TOL, passed=min_margin >= -INEQ_TOL, worst_index=worst,
-        infinite_count=infinite,
-    )
+            margin = math.inf
+        else:
+            after = relative_entropy_nats(c.apply_matrix(rho1.matrix), c.apply_matrix(rho2.matrix))
+            margin = before - after  # after is finite when before is, up to the kernel cutoff
+        return verdict("monotonicity", lhs=margin, rhs=0.0, tolerance=INEQ_TOL, units="nats")
+
+    worst = worst_over(pairs, seed, draw)
+    return replace(worst, witness={**worst.witness, "infinite_count": infinite})
 
 
-def entropy_increase_suite(c: KrausChannel, samples: int = 1000, seed: int = 0) -> SuiteReport:
+def entropy_increase_suite(c: KrausChannel, samples: int = 1000, seed: int = 0) -> Check:
     """min over states of S(c(rho)) - S(rho); nonnegative for bistochastic channels."""
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
-    min_margin = math.inf
-    worst = 0
-    for i in range(samples):
-        rng = substream(seed, i)
+
+    def draw(rng, i):
         rho = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
         margin = vn_nats(c.apply_matrix(rho.matrix)) - vn_nats(rho.matrix)
-        if margin < min_margin:
-            min_margin, worst = margin, i
-    return SuiteReport(
-        claim_id="entropy_increase", samples=samples, seed=seed, min_margin=min_margin,
-        tolerance=INEQ_TOL, passed=min_margin >= -INEQ_TOL, worst_index=worst,
-    )
+        return verdict("entropy_increase", lhs=margin, rhs=0.0, tolerance=INEQ_TOL, units="nats")
+
+    return worst_over(samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -707,99 +666,78 @@ def verify_theorem(
     eq13_samples: int = 20,
     max_iter: int = DEFAULT_MAX_ITER,
     grad_tol: float = DEFAULT_TOL,
-) -> TheoremReport:
+) -> tuple[Check, ...]:
     """Verify additivity for damping-after-depolarizing compositions.
 
-    Sub-checks: (i) the composition preserves the output entropy of every
-    basis projection; (ii) its output-entropy infimum equals the depolarizing
-    one; (iii) the composed tensor power never lowers entropy below the
-    depolarizing tensor power (n = 1, 2); (iv) the additivity gap of the
-    composition with itself vanishes within optimizer tolerance.
+    Returns, in report order and each timed on its own: (i) the composition
+    preserves the output entropy of every basis projection; (ii) its
+    output-entropy infimum equals the depolarizing one; (iii) the composed
+    tensor power never lowers entropy below the depolarizing tensor power
+    (n = 1, 2); (iv) the additivity gap of the composition with itself
+    vanishes within optimizer tolerance.
     """
     phi = depolarizing(l, p)
     psi = phase_damping(l, q)
     xi = psi.compose(phi).reduced()
 
-    worst_diff = -1.0
-    worst_j = 0
-    for j in range(l):
-        proj = pure_to_density(basis_state(l, j))
-        diff = abs(vn_nats(xi.apply_matrix(proj.matrix)) - vn_nats(phi.apply_matrix(proj.matrix)))
-        if diff > worst_diff:
-            worst_diff, worst_j = diff, j
-    basis_rep = proposition_report(
-        "theorem.basis_projection", lhs=0.0, rhs=worst_diff, tolerance=BASIS_PROJ_TOL,
-        witness={"worst_projection": worst_j}, seed=seed,
-    )
-
-    res_xi = min_output_entropy(xi, restarts, max_iter, grad_tol, seed, seed_path=(10,))
-    res_phi = min_output_entropy(phi, restarts, max_iter, grad_tol, seed, seed_path=(11,))
-    smin_rep = proposition_report(
-        "theorem.s_min_equality", lhs=0.0, rhs=abs(res_xi.value - res_phi.value),
-        tolerance=SMIN_EQ_TOL,
-        witness={"s_min_composed": res_xi.value, "s_min_depolarizing": res_phi.value,
-                 "closed_form": depolarizing_entropy_constant(l, p)},
-        seed=seed,
-    )
-
-    eq13_reports = []
-    for n in (1, 2):
-        xin = xi.tensor_power(n)
-        phin = phi.tensor_power(n)
-        min_margin = math.inf
-        worst_lhs = worst_rhs = 0.0
-        worst_i = 0
-        for i in range(eq13_samples):
-            rng = substream(seed, 100 + n, i)
-            x = random_density_from(rng, l ** n, int(rng.integers(1, l ** n + 1)))
-            lhs = vn_nats(xin.apply_matrix(x.matrix))
-            rhs = vn_nats(phin.apply_matrix(x.matrix))
-            if lhs - rhs < min_margin:
-                min_margin = lhs - rhs
-                worst_lhs, worst_rhs, worst_i = lhs, rhs, i
-        eq13_reports.append(
-            proposition_report(
-                f"theorem.eq13_n{n}", lhs=worst_lhs, rhs=worst_rhs, tolerance=INEQ_TOL,
-                witness={"samples": eq13_samples, "worst_index": worst_i}, seed=seed,
-            )
+    def basis_projection() -> Check:
+        worst_diff = -1.0
+        worst_j = 0
+        for j in range(l):
+            proj = pure_to_density(basis_state(l, j))
+            diff = abs(vn_nats(xi.apply_matrix(proj.matrix)) - vn_nats(phi.apply_matrix(proj.matrix)))
+            if diff > worst_diff:
+                worst_diff, worst_j = diff, j
+        return verdict(
+            "theorem.basis_projection", lhs=0.0, rhs=worst_diff, tolerance=BASIS_PROJ_TOL,
+            witness={"worst_projection": worst_j}, seed=seed, units="nats",
         )
 
-    additivity = check_additivity(
-        xi, xi, restarts=restarts, seed=seed, tolerance=ADDITIVITY_TOL,
-        max_iter=max_iter, grad_tol=grad_tol,
-    )
+    def s_min_equality() -> Check:
+        res_xi = min_output_entropy(xi, restarts, max_iter, grad_tol, seed, seed_path=(10,))
+        res_phi = min_output_entropy(phi, restarts, max_iter, grad_tol, seed, seed_path=(11,))
+        return verdict(
+            "theorem.s_min_equality", lhs=0.0, rhs=abs(res_xi.value - res_phi.value),
+            tolerance=SMIN_EQ_TOL,
+            witness={"s_min_composed": res_xi.value, "s_min_depolarizing": res_phi.value,
+                     "closed_form": depolarizing_entropy_constant(l, p)},
+            seed=seed, units="nats",
+        )
 
-    passed = (
-        basis_rep.passed
-        and smin_rep.passed
-        and all(r.passed for r in eq13_reports)
-        and additivity.passed
-    )
-    return TheoremReport(
-        basis_projection=basis_rep,
-        s_min_equality=smin_rep,
-        eq13=tuple(eq13_reports),
-        additivity=additivity,
-        passed=passed,
-    )
+    def eq13(n: int) -> Check:
+        xin = xi.tensor_power(n)
+        phin = phi.tensor_power(n)
+
+        def draw(rng, i):
+            x = random_density_from(rng, l ** n, int(rng.integers(1, l ** n + 1)))
+            return verdict(f"theorem.eq13_n{n}", lhs=vn_nats(xin.apply_matrix(x.matrix)),
+                           rhs=vn_nats(phin.apply_matrix(x.matrix)), tolerance=INEQ_TOL, units="nats")
+
+        return worst_over(eq13_samples, seed, draw, 100 + n)
+
+    def additivity() -> Check:
+        return check_additivity(
+            xi, xi, restarts=restarts, seed=seed, tolerance=ADDITIVITY_TOL,
+            max_iter=max_iter, grad_tol=grad_tol,
+        ).to_check("theorem.additivity")
+
+    return (timed(basis_projection), timed(s_min_equality), timed(lambda: eq13(1)),
+            timed(lambda: eq13(2)), timed(additivity))
 
 
 # ---------------------------------------------------------------------------
 # Gradient correctness against finite differences
 
 
-def gradient_suite(samples: int = 100, seed: int = 0, dims: tuple[int, ...] = (2, 3, 4)) -> SuiteReport:
+def gradient_suite(samples: int = 100, seed: int = 0, dims: tuple[int, ...] = (2, 3, 4)) -> Check:
     """Max relative disagreement between analytic and finite-difference gradients.
 
-    States whose gradient is numerically null (flat directions) are redrawn,
-    since a finite-difference quotient of a constant carries no signal.
+    The check's margin is minus the worst relative error.  States whose
+    gradient is numerically null (flat directions) are redrawn, since a
+    finite-difference quotient of a constant carries no signal.
     """
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
-    max_err = -math.inf
-    worst = 0
-    for i in range(samples):
-        rng = substream(seed, i)
+
+    def draw(rng, i):
         dim = dims[i % len(dims)]
         c = random_channel_from(rng, dim, int(rng.integers(2, 5)))
         psi = random_pure_from(rng, dim)
@@ -807,10 +745,6 @@ def gradient_suite(samples: int = 100, seed: int = 0, dims: tuple[int, ...] = (2
             if float(np.linalg.norm(entropy_gradient(c, psi))) > 1e-7:
                 break
             psi = random_pure_from(rng, dim)
-        err = gradient_fd_error(c, psi)
-        if err > max_err:
-            max_err, worst = err, i
-    return SuiteReport(
-        claim_id="gradient_fd", samples=samples, seed=seed, min_margin=-max_err,
-        tolerance=GRADIENT_TOL, passed=max_err <= GRADIENT_TOL, worst_index=worst,
-    )
+        return verdict("gradient_fd", lhs=-gradient_fd_error(c, psi), rhs=0.0, tolerance=GRADIENT_TOL)
+
+    return worst_over(samples, seed, draw)

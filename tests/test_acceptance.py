@@ -91,17 +91,18 @@ def test_criterion_3_theorem():
     ok = True
     details = []
     for l, p, q in ((2, 0.5, (0.7,)), (3, 0.3, (0.5, 0.5))):
-        rep = verify_theorem(l, p, q, restarts=20, seed=0)
-        assert rep.basis_projection.tolerance == 1e-11
-        assert rep.s_min_equality.tolerance == 1e-6
-        assert all(r.tolerance == 1e-9 for r in rep.eq13)
-        assert rep.additivity.tolerance == 1e-5
-        ok = ok and rep.passed
+        checks = verify_theorem(l, p, q, restarts=20, seed=0)
+        basis, s_min, *eq13, additivity = checks
+        assert basis.tolerance == 1e-11
+        assert s_min.tolerance == 1e-6
+        assert all(r.tolerance == 1e-9 for r in eq13)
+        assert additivity.tolerance == 1e-5
+        ok = ok and all(c.passed for c in checks)
         details.append(
-            f"l={l}: basis {rep.basis_projection.rhs:.1e}, "
-            f"smin diff {rep.s_min_equality.rhs:.1e}, "
-            f"eq13 margins {min(r.margin for r in rep.eq13):.1e}, "
-            f"gap {rep.additivity.gap:.1e}"
+            f"l={l}: basis {basis.rhs:.1e}, "
+            f"smin diff {s_min.rhs:.1e}, "
+            f"eq13 margins {min(r.margin for r in eq13):.1e}, "
+            f"gap {additivity.margin:.1e}"
         )
     _verdict("criterion 3", ok, "; ".join(details))
 
@@ -128,21 +129,22 @@ def test_criterion_5_proposition_4():
     ok = True
     details = []
     for l in (3, 4, 5):
-        rep = verify_prop4(l, samples=1000, seed=0)
+        sampled, remark = verify_prop4(l, samples=1000, seed=0)
+        violations = sampled.witness["violations"]
         # the report must list the minimum margin and carry a certificate
         # eigenvalue for every violation found; the outcome is recorded, not presumed
-        assert rep.condition_hits > 0
-        assert math.isfinite(rep.min_margin)
-        consistent = rep.sampled_passed == (len(rep.violations) == 0)
-        for violation in rep.violations:
-            consistent = consistent and violation.min_eigenvalue < -1e-10
+        assert sampled.witness["condition_hits"] > 0
+        assert math.isfinite(sampled.margin)
+        consistent = sampled.passed == (len(violations) == 0)
+        for violation in violations:
+            consistent = consistent and violation["min_eigenvalue"] < -1e-10
         remark_exact = all(
-            abs(margin - (1.0 - big_q)) <= 1e-12 for big_q, margin in rep.remark_margins
+            abs(margin - (1.0 - big_q)) <= 1e-12 for big_q, margin in remark.witness["margins"]
         )
-        ok = ok and consistent and remark_exact and rep.remark_passed
+        ok = ok and consistent and remark_exact and remark.passed
         details.append(
-            f"l={l}: {rep.condition_hits} hits, min margin {rep.min_margin:.3e}, "
-            f"{len(rep.violations)} counterexample(s)"
+            f"l={l}: {sampled.witness['condition_hits']} hits, min margin {sampled.margin:.3e}, "
+            f"{len(violations)} counterexample(s)"
         )
     _verdict("criterion 5", ok, "; ".join(details) + "; constant-Q margins equal 1-Q")
 
@@ -197,7 +199,7 @@ def test_criterion_8_monotonicity_and_entropy_increase():
     for _, channel in families:
         mono = monotonicity_suite(channel, pairs=1000, seed=0)
         incr = entropy_increase_suite(channel, samples=1000, seed=0)
-        worst = min(worst, mono.min_margin, incr.min_margin)
+        worst = min(worst, mono.margin, incr.margin)
     _verdict(
         "criterion 8", worst >= -1e-9,
         f"1000 pairs/states per family across {len(families)} families, "
@@ -210,7 +212,7 @@ def test_criterion_9_gradient_correctness():
     _verdict(
         "criterion 9", rep.passed,
         f"100 random (channel, state) draws over dims 2-4, max relative "
-        f"finite-difference error = {-rep.min_margin:.2e} (tol 1e-5)",
+        f"finite-difference error = {-rep.margin:.2e} (tol 1e-5)",
     )
 
 

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qchan
-from qchan.cli import main
+from qchan.cli import RunConfig, main
 from qchan.fileio import save_channel, save_state
 from qchan.channels import kraus_channel
 from qchan.states import random_density
@@ -266,3 +267,76 @@ def test_python_m_entry_points(module):
     report = json.loads(proc.stdout)
     assert [check["id"] for check in report["checks"]] == ["eq3"]
     assert report["pass"] is True
+
+
+def _schema():
+    import importlib.resources as resources
+
+    return json.loads(resources.files("qchan").joinpath("report.schema.json").read_text())
+
+
+def test_theorem_checks_are_timed_one_by_one(tmp_path):
+    code, report = run_cli(["verify", "theorem", "--l", "2", "--seed", "1"], tmp_path)
+    assert code == 0
+    elapsed = [c["elapsed_ms"] for c in report["checks"] if c["id"].startswith("theorem.")]
+    assert len(elapsed) == 5
+    assert len(set(elapsed)) > 1
+    assert sum(elapsed) <= report["wall_clock_ms"]
+
+
+def test_prop4_checks_are_timed_one_by_one(tmp_path):
+    code, report = run_cli(["verify", "prop4", "--l", "3", "--samples", "200"], tmp_path)
+    assert code == 0
+    sampled, remark = report["checks"]
+    assert sampled["elapsed_ms"] != remark["elapsed_ms"]
+    assert sampled["elapsed_ms"] + remark["elapsed_ms"] <= report["wall_clock_ms"]
+
+
+VERIFY_ALL_SMALL = ["--p", "0.3", "--q", "0.5", "--seed", "42", "--samples", "5", "--pairs", "20",
+                    "--eq13-samples", "3", "--search-count", "5", "--restarts", "3"]
+
+
+def test_verify_all_composite_l_refuses_eq9_and_runs_the_rest(tmp_path):
+    code, report = run_cli(["verify", "all", "--l", "4", *VERIFY_ALL_SMALL], tmp_path, "l4.json")
+    assert code == 0 and report["pass"] is True
+    _, prime = run_cli(["verify", "all", "--l", "3", *VERIFY_ALL_SMALL], tmp_path, "l3.json")
+    assert [c["id"] for c in report["checks"]] == [c["id"] for c in prime["checks"]]
+    refused = [c for c in report["checks"] if "status" in c]
+    assert [c["id"] for c in refused] == ["eq9"]
+    eq9 = refused[0]
+    assert eq9["status"] == "refused" and eq9["pass"] is True and eq9["seed"] is None
+    assert (eq9["lhs"], eq9["rhs"], eq9["margin"], eq9["tolerance"]) == (0, 0, 0, "inf")
+    assert "(2, 1)" in eq9["witness"]["reason"]
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(report, _schema())
+    jsonschema.validate(prime, _schema())
+
+
+def test_refused_eq9_in_text_and_csv(tmp_path):
+    args = ["verify", "all", "--l", "4", *VERIFY_ALL_SMALL]
+    assert main(args + ["--format", "text", "--output", str(tmp_path / "r.txt")]) == 0
+    assert "  [refused] eq9: " in (tmp_path / "r.txt").read_text()
+    assert main(args + ["--format", "csv", "--output", str(tmp_path / "r.csv")]) == 0
+    lines = (tmp_path / "r.csv").read_text().splitlines()
+    assert lines[0] == "id,lhs,rhs,margin,tolerance,pass,seed,elapsed_ms,units,witness"
+    assert [line for line in lines if line.startswith("eq9,")][0].startswith("eq9,0,0,0,inf,true,,")
+
+
+def test_eq9_alone_at_composite_l_is_usage_error(capsys):
+    from qchan.errors import UsageError
+    from qchan.verify import check_eq9
+
+    assert main(["verify", "eq9", "--l", "4"]) == 2
+    assert "needs prime l" in capsys.readouterr().err
+    with pytest.raises(UsageError):
+        check_eq9(4, 0.3)
+
+
+def test_config_echo_lists_every_field_but_the_output_path(tmp_path):
+    code, report = run_cli(["verify", "eq3", "--l", "3", "--q", "0.4", "--samples", "2",
+                            "--lambdas", "0.1,0.2,0.3"], tmp_path)
+    assert code == 0
+    config = report["config"]
+    assert list(config) == [f.name for f in fields(RunConfig) if f.name != "output_path"]
+    assert config["q"] == [0.4, 0.4] and config["lambdas"] == [0.1, 0.2, 0.3]
+    assert config["claim"] == "eq3" and config["samples"] == 2

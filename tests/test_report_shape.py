@@ -18,7 +18,7 @@ ADDITIVITY_KEYS = {"converged", "restarts", "s_min_a", "s_min_b", "s_min_joint",
 # (id, units, tolerance, witness keys) in report order.
 EXPECTED_SHAPE = [
     ("eq3", "dimensionless", 1e-11, {"samples", "transversal", "worst_index"}),
-    ("eq5", "dimensionless", 1e-11, {"family", "index", "residual_e_phi", "residual_phi_e", "samples"}),
+    ("eq5", "dimensionless", 1e-11, {"family", "residual_e_phi", "residual_phi_e", "samples", "worst_index"}),
     ("eq9", "dimensionless", 1e-10, {"c0", "c1", "l", "normalization_residual", "p"}),
     ("eq12", "dimensionless", math.inf, {"diagnostic_only", "max_entry", "max_entry_residual", "q", "q_bar"}),
     ("prop1", "nats", 1e-9, {"dim_k", "epsilon", "lambda", "samples", "worst_index"}),
@@ -34,8 +34,8 @@ EXPECTED_SHAPE = [
     ("theorem.eq13_n2", "nats", 1e-9, {"samples", "worst_index"}),
     ("theorem.additivity", "nats", 1e-5, ADDITIVITY_KEYS),
     ("monotonicity", "nats", 1e-9, {"infinite_count", "samples", "worst_index"}),
-    ("entropy_increase", "nats", 1e-9, {"infinite_count", "samples", "worst_index"}),
-    ("gradient_fd", "dimensionless", 1e-5, {"infinite_count", "samples", "worst_index"}),
+    ("entropy_increase", "nats", 1e-9, {"samples", "worst_index"}),
+    ("gradient_fd", "dimensionless", 1e-5, {"samples", "worst_index"}),
 ]
 
 

@@ -47,7 +47,9 @@ from qchan.verify import (
     verify_prop3,
     verify_prop4,
     verify_theorem,
+    worst_over,
 )
+from qchan.reporting import verdict
 
 
 # ----------------------------------------------------------------------- eq3
@@ -272,26 +274,27 @@ def test_prop3_batch():
 
 
 def test_prop4_constant_q_family():
-    rep = verify_prop4(4, samples=10, seed=24)
-    assert rep.remark_passed
-    for big_q, margin in rep.remark_margins:
+    _, remark = verify_prop4(4, samples=10, seed=24)
+    assert remark.passed
+    for big_q, margin in remark.witness["margins"]:
         assert margin == pytest.approx(1.0 - big_q, abs=1e-12)
 
 
 def test_prop4_qubit_vacuous_condition():
-    rep = verify_prop4(2, samples=200, seed=25)
-    assert rep.condition_hits == 200  # no interior coefficients to constrain
-    assert rep.sampled_passed and rep.min_margin >= -1e-12
+    sampled, _ = verify_prop4(2, samples=200, seed=25)
+    assert sampled.witness["condition_hits"] == 200  # no interior coefficients to constrain
+    assert sampled.passed and sampled.margin >= -1e-12
 
 
 def test_prop4_l5_reports_counterexamples_when_found():
-    rep = verify_prop4(5, samples=2000, seed=26)
-    assert rep.condition_hits > 0
+    sampled, _ = verify_prop4(5, samples=2000, seed=26)
+    violations = sampled.witness["violations"]
+    assert sampled.witness["condition_hits"] > 0
     # consistency between the violation list and the minimum margin
-    assert rep.sampled_passed == (rep.min_margin >= -1e-10) == (len(rep.violations) == 0)
-    for violation in rep.violations:
-        assert violation.min_eigenvalue < -1e-10
-        assert len(violation.q) == 4
+    assert sampled.passed == (sampled.margin >= -1e-10) == (len(violations) == 0)
+    for violation in violations:
+        assert violation["min_eigenvalue"] < -1e-10
+        assert len(violation["q"]) == 4
 
 
 def test_prop4_known_counterexample_detected():
@@ -353,12 +356,12 @@ def test_monotonicity_unitary_conjugation_margin_zero():
     c = mixture_of_unitaries([1.0], [random_unitary(2, seed=32)])
     rep = monotonicity_suite(c, pairs=50, seed=33)
     assert rep.passed
-    assert abs(rep.min_margin) <= 1e-10
+    assert abs(rep.margin) <= 1e-10
 
 
 def test_monotonicity_depolarizing():
     rep = monotonicity_suite(depolarizing(2, 0.5), pairs=200, seed=34)
-    assert rep.passed and rep.min_margin >= -1e-9
+    assert rep.passed and rep.margin >= -1e-9
 
 
 def test_monotonicity_dephasing_infinite_before_finite_after():
@@ -376,31 +379,32 @@ def test_monotonicity_dephasing_infinite_before_finite_after():
 
 def test_entropy_increase_depolarizing():
     rep = entropy_increase_suite(depolarizing(3, 0.3), samples=200, seed=35)
-    assert rep.passed and rep.min_margin >= -1e-9
+    assert rep.passed and rep.margin >= -1e-9
 
 
 def test_gradient_suite():
     rep = gradient_suite(samples=30, seed=36)
     assert rep.passed
-    assert -rep.min_margin <= 1e-5
+    assert -rep.margin <= 1e-5
 
 
 # -------------------------------------------------------------------- theorem
 
 
 def test_theorem_trivial_damping():
-    rep = verify_theorem(2, 0.5, (1.0,), restarts=5, seed=37, eq13_samples=5)
-    assert rep.passed
-    assert rep.s_min_equality.rhs <= 1e-9
+    checks = verify_theorem(2, 0.5, (1.0,), restarts=5, seed=37, eq13_samples=5)
+    assert all(c.passed for c in checks)
+    assert checks[1].rhs <= 1e-9  # theorem.s_min_equality
 
 
 def test_theorem_qubit_case():
-    rep = verify_theorem(2, 0.5, (0.7,), restarts=10, seed=38, eq13_samples=10)
-    assert rep.passed
+    checks = verify_theorem(2, 0.5, (0.7,), restarts=10, seed=38, eq13_samples=10)
+    basis, s_min, *eq13, additivity = checks
+    assert all(c.passed for c in checks)
     closed = depolarizing_entropy_constant(2, 0.5)
-    assert rep.s_min_equality.witness["s_min_composed"] == pytest.approx(closed, abs=1e-6)
-    assert all(r.passed for r in rep.eq13)
-    assert rep.additivity.passed
+    assert s_min.witness["s_min_composed"] == pytest.approx(closed, abs=1e-6)
+    assert all(r.passed for r in eq13)
+    assert additivity.passed
 
 
 def test_verify_batch_deterministic():
@@ -493,3 +497,53 @@ def test_verify_all_cold_and_warm_caches_agree(tmp_path):
     _clear_caches()
     cold = report("cold.json")
     assert report("warm.json") == cold
+
+
+# ---------------------------------------------------------------- worst_over
+
+
+def test_worst_over_first_index_wins_a_tie():
+    margins = [0.5, -1.0, -1.0, 0.2]
+    worst = worst_over(4, 7, lambda rng, i: verdict("c", lhs=margins[i], rhs=0.0, tolerance=1e-9,
+                                                    witness={"i": i}))
+    assert worst.margin == -1.0 and not worst.passed
+    assert worst.witness == {"i": 1, "worst_index": 1, "samples": 4}
+    assert worst.seed == 7
+
+
+def test_worst_over_draws_each_sample_from_its_own_substream():
+    seen = []
+
+    def draw(rng, i):
+        seen.append(rng.random())
+        return verdict("c", lhs=0.0, rhs=0.0, tolerance=0.0)
+
+    worst_over(3, 5, draw, 100, 2)
+    assert seen == [substream(5, 100, 2, i).random() for i in range(3)]
+
+
+def test_monotonicity_all_infinite_pairs(monkeypatch):
+    monkeypatch.setattr(verify_mod, "relative_entropy_nats", lambda a, b: math.inf)
+    rep = monotonicity_suite(depolarizing(2, 0.5), pairs=6, seed=3)
+    assert rep.margin == math.inf and rep.lhs == math.inf and rep.passed
+    assert rep.witness == {"worst_index": 0, "samples": 6, "infinite_count": 6}
+
+
+_BATCH_CHECKS = {
+    "eq3": lambda: check_eq3(2, samples=0),
+    "eq5": lambda: check_eq5(2, samples=0),
+    "prop1": lambda: verify_prop1(2, samples=0),
+    "prop2": lambda: verify_prop2(2, samples=0),
+    "prop3": lambda: verify_prop3(2, 0.5, samples=0),
+    "prop4": lambda: verify_prop4(2, samples=0),
+    "monotonicity": lambda: monotonicity_suite(depolarizing(2, 0.5), pairs=0),
+    "entropy_increase": lambda: entropy_increase_suite(depolarizing(2, 0.5), samples=0),
+    "gradient_fd": lambda: gradient_suite(samples=0),
+    "theorem.eq13": lambda: verify_theorem(2, 0.5, (0.7,), restarts=1, eq13_samples=0),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(_BATCH_CHECKS))
+def test_empty_batch_is_usage_error(claim):
+    with pytest.raises(UsageError, match="samples must be >= 1"):
+        _BATCH_CHECKS[claim]()
