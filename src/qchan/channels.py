@@ -2,10 +2,13 @@
 
 Channel equality is decided by Choi-matrix distance (Frobenius); the Choi
 matrix uses the unnormalized maximally entangled reference, so Tr(choi) = dim
-and complete positivity means choi eigenvalues >= -CP_EIG_TOL.
+and complete positivity means choi eigenvalues >= -CP_EIG_TOL.  A channel
+builds its Choi matrix on first read, so channels that are only applied never
+pay for it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +29,7 @@ from .linalg import (
     frobenius,
     frozen,
     hermitian_eig,
+    hermitian_eigvals,
 )
 from .rng import substream
 from .states import DensityMatrix, PureState, density_from_matrix
@@ -65,12 +69,20 @@ def pure_output(ops: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return v.T @ v.conj()
 
 
+#: Largest (matrices, m d, d) intermediate, in bytes, that ``apply_matrix``
+#: builds for a stack at once; a larger stack is applied in parts, with equal
+#: results.  One matrix always goes whole.  At this size a stacked apply needs
+#: no more memory than the single-matrix applies of the l <= 3 claims did,
+#: and at l = 5 a part is still several matrices except for the tensor square.
+APPLY_STACK_BYTES = 256 * 1024
+
+
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Sum_k L_k x R_k for two (m, d, d) stacks."""
+    """Sum_k L_k x R_k for two (m, d, d) stacks; ``x`` may carry leading batch axes."""
     m, d, _ = left.shape
     # Row (i, k) holds row i of L_k, so one product yields every L_k x side by side.
     rows = left.transpose(1, 0, 2).reshape(d * m, d)
-    return (rows @ x).reshape(d, m * d) @ right.reshape(m * d, d)
+    return (rows @ x).reshape(*x.shape[:-2], d, m * d) @ right.reshape(m * d, d)
 
 
 @dataclass(frozen=True)
@@ -79,14 +91,24 @@ class KrausChannel:
 
     ops: np.ndarray  # shape (m, dim, dim), read-only
     dim: int
-    choi: np.ndarray  # shape (dim^2, dim^2), cached eagerly, read-only
+
+    @functools.cached_property
+    def choi(self) -> np.ndarray:
+        """Choi matrix, shape (dim^2, dim^2), built on first read and read-only."""
+        return frozen(choi_matrix(self.ops))
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Sum_k K_k x K_k* on an arbitrary operator."""
-        x = as_complex_matrix(x)
-        if x.shape[0] != self.dim:
-            raise UsageError(f"operator dimension {x.shape[0]} != channel dimension {self.dim}")
-        return _sandwich(self.ops, x, self.ops.conj().transpose(0, 2, 1))
+        """Sum_k K_k x K_k* on an arbitrary operator, or on each of a stack of them."""
+        x = as_complex_matrix(x, stack=True)
+        if x.shape[-1] != self.dim:
+            raise UsageError(f"operator dimension {x.shape[-1]} != channel dimension {self.dim}")
+        adjoint = self.ops.conj().transpose(0, 2, 1)
+        part = max(1, APPLY_STACK_BYTES // (x.itemsize * self.ops.shape[0] * self.dim ** 2))
+        flat = x.reshape(-1, self.dim, self.dim)
+        if len(flat) <= part:
+            return _sandwich(self.ops, x, adjoint)
+        parts = [_sandwich(self.ops, flat[i:i + part], adjoint) for i in range(0, len(flat), part)]
+        return np.concatenate(parts).reshape(x.shape)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply to a state; the output is validated as a state."""
@@ -148,7 +170,7 @@ class KrausChannel:
 
 
 def kraus_channel(ops) -> KrausChannel:
-    """Validate a Kraus operator list/stack and build the channel (Choi cached)."""
+    """Validate a Kraus operator list/stack and build the channel."""
     arr = np.asarray(ops, dtype=complex)
     if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != arr.shape[2]:
         raise ValidationError(f"expected a nonempty stack of square Kraus operators, got shape {arr.shape}")
@@ -161,7 +183,7 @@ def kraus_channel(ops) -> KrausChannel:
             f"trace preservation violated: ||Sum K*K - I||_F = {tp_residual:.3e} "
             f"exceeds {TP_TOL:.0e} * dim"
         )
-    return KrausChannel(ops=frozen(arr), dim=dim, choi=frozen(choi_matrix(arr)))
+    return KrausChannel(ops=frozen(arr), dim=dim)
 
 
 def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
@@ -201,7 +223,7 @@ def structural_checks(c) -> ChannelChecks:
     tp = frobenius(gram_matrix(ops) - eye)
     # Sum_k K_k K_k* is the Gram matrix of the adjoint stack {K_k*}.
     unital = frobenius(gram_matrix(ops.conj().transpose(0, 2, 1)) - eye)
-    choi_min = float(hermitian_eig(choi).values[0])
+    choi_min = float(hermitian_eigvals(choi)[0])
     return ChannelChecks(
         tp_residual=tp,
         unitality_residual=unital,

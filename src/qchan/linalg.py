@@ -3,6 +3,9 @@
 Conventions used throughout the package:
 
 - operators are square complex numpy arrays in row-major layout;
+- functions documented as stack-aware also take a stack of operators with
+  leading batch axes, shape (..., d, d), and act on each matrix; a single
+  matrix is the batch-of-one case and gets the same bits alone or stacked;
 - Kronecker products map the composite index pair ``(i_a, i_b)`` to
   ``i_a * dim_b + i_b`` (numpy order) -- every cross-module matrix equality
   relies on this;
@@ -28,26 +31,49 @@ SIMPLEX_TOL = 1e-12
 DIM_CAP = 4096
 
 
-def as_complex_matrix(a: np.ndarray) -> np.ndarray:
-    """Validate and return ``a`` as a square, finite, complex matrix."""
+def as_complex_matrix(a: np.ndarray, stack: bool = False) -> np.ndarray:
+    """Validate and return ``a`` as a square, finite, complex matrix.
+
+    With ``stack`` a stack of equal-size square matrices, shape (..., d, d),
+    is accepted too.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.shape[-1] < 1:
         raise ValidationError("matrix dimension must be at least 1")
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+def frobenius(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack (stack-aware).
+
+    The real and imaginary parts' sums of squares are vector dot products, as
+    in numpy's own norm of a complex matrix, so a complex matrix gets numpy's
+    bits alone or stacked.
+    """
+    a = np.asarray(a)
+    rows = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
+    parts = (rows.real, rows.imag) if np.iscomplexobj(a) else (rows,)
+    norms = np.sqrt(sum((x @ x.swapaxes(-1, -2))[..., 0, 0] for x in parts))
+    return float(norms) if a.ndim == 2 else norms
+
+
+def first_index(flags: np.ndarray) -> tuple[int, ...]:
+    """Batch index of the first true entry of ``flags``, in row-major order."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(flags)), flags.shape))
+
+
+def stack_suffix(index: tuple[int, ...]) -> str:
+    """Suffix naming a matrix of a stack in an error message; empty for one matrix."""
+    return f" (matrix {index[0] if len(index) == 1 else index} of the stack)" if index else ""
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose (stack-aware)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -69,17 +95,16 @@ def tensor_product(a: np.ndarray, b: np.ndarray, dim_cap: int = DIM_CAP) -> np.n
 def partial_trace(
     x: np.ndarray, dim_left: int, dim_right: int, side: Literal["left", "right"]
 ) -> np.ndarray:
-    """Trace out the named tensor factor of ``x`` on a dim_left x dim_right space."""
-    x = as_complex_matrix(x)
-    if dim_left < 1 or dim_right < 1 or dim_left * dim_right != x.shape[0]:
-        raise UsageError(
-            f"dimension {x.shape[0]} does not factor as {dim_left} x {dim_right}"
-        )
-    t = x.reshape(dim_left, dim_right, dim_left, dim_right)
+    """Trace out the named tensor factor of ``x`` on a dim_left x dim_right space (stack-aware)."""
+    x = as_complex_matrix(x, stack=True)
+    dim = x.shape[-1]
+    if dim_left < 1 or dim_right < 1 or dim_left * dim_right != dim:
+        raise UsageError(f"dimension {dim} does not factor as {dim_left} x {dim_right}")
+    t = x.reshape(*x.shape[:-2], dim_left, dim_right, dim_left, dim_right)
     if side == "left":
-        return np.einsum("ijik->jk", t)
+        return np.einsum("...ijik->...jk", t)
     if side == "right":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     raise UsageError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -90,24 +115,42 @@ class HermitianEigen(NamedTuple):
     vectors: np.ndarray
 
 
+def _hermitian_part(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+    """(a + a*)/2 after checking that ``a`` is Hermitian within ``rtol`` (stack-aware).
+
+    A stack is refused for its first matrix that fails the check.
+    """
+    a = as_complex_matrix(a, stack=True)
+    adjoint = dagger(a)
+    skew = frobenius(a - adjoint)
+    failed = np.asarray(skew > rtol * np.maximum(frobenius(a), 1e-300))
+    if failed.any():
+        index = first_index(failed)
+        raise ValidationError(
+            f"matrix is not Hermitian within tolerance{stack_suffix(index)}: ||a - a*||_F = "
+            f"{float(np.asarray(skew)[index]):.3e} > {rtol:.1e} * ||a||_F"
+        )
+    return (a + adjoint) / 2
+
+
 def hermitian_eig(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermitianEigen:
-    """Eigendecomposition of ``a`` after checking Hermiticity within ``rtol``.
+    """Eigendecomposition of ``a`` after checking Hermiticity within ``rtol`` (stack-aware).
 
     The input is symmetrized as (a + a*)/2 before decomposition.
     """
-    a = as_complex_matrix(a)
-    scale = frobenius(a)
-    if frobenius(a - dagger(a)) > rtol * max(scale, 1e-300):
-        raise ValidationError(
-            f"matrix is not Hermitian within tolerance: ||a - a*||_F = "
-            f"{frobenius(a - dagger(a)):.3e} > {rtol:.1e} * ||a||_F"
-        )
-    sym = (a + dagger(a)) / 2
     try:
-        values, vectors = np.linalg.eigh(sym)
+        values, vectors = np.linalg.eigh(_hermitian_part(a, rtol))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     return HermitianEigen(values, vectors)
+
+
+def hermitian_eigvals(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+    """Ascending eigenvalues of ``a`` alone, after the same check as ``hermitian_eig``."""
+    try:
+        return np.linalg.eigvalsh(_hermitian_part(a, rtol))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solve failed to converge: {exc}") from exc
 
 
 def matrix_function_hermitian(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -131,12 +174,18 @@ def matrix_function_hermitian(a: np.ndarray, f: Callable[[np.ndarray], np.ndarra
 
 
 def clamp_spectrum(values: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:
-    """Clamp eigenvalues in [-tol, 0) to zero; genuinely negative ones are an error."""
+    """Clamp eigenvalues in [-tol, 0) to zero; genuinely negative ones are an error.
+
+    Stack-aware over the last axis: a stack of spectra is refused for its
+    first spectrum with an eigenvalue below -tol.
+    """
     values = np.asarray(values, dtype=float)
-    lowest = float(values.min()) if values.size else 0.0
-    if lowest < -tol:
+    if values.size and values.min() < -tol:
+        lowest = values.min(axis=-1)
+        index = first_index(lowest < -tol)
+        worst = float(lowest[index])
         raise NotPositiveError(
-            f"matrix has a negative eigenvalue {lowest:.6e} beyond tolerance {-tol:.1e}",
-            lowest,
+            f"matrix has a negative eigenvalue {worst:.6e} beyond tolerance {-tol:.1e}{stack_suffix(index)}",
+            worst,
         )
     return np.maximum(values, 0.0)

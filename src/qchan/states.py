@@ -2,7 +2,9 @@
 
 Samplers are deterministic per seed (PCG64 streams, see :mod:`qchan.rng`);
 the ``*_from`` variants take an explicit generator so batch drivers can derive
-independent substreams per task.
+independent substreams per task.  ``random_state_matrix_from`` returns the
+unvalidated matrix, so a batch driver can validate a whole stack of draws with
+one ``density_from_matrix`` call.
 """
 from __future__ import annotations
 
@@ -18,7 +20,12 @@ from .rng import substream
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A state: Hermitian, positive semidefinite, unit trace."""
+    """A state: Hermitian, positive semidefinite, unit trace.
+
+    ``matrix`` may also hold a stack of states along leading axes, as
+    ``density_from_matrix`` returns for a stack; ``dim`` is then the
+    dimension of each state.
+    """
 
     matrix: np.ndarray
     dim: int
@@ -79,24 +86,34 @@ def density_from_matrix(m: np.ndarray) -> DensityMatrix:
     """Validate ``m`` as a density matrix, clamping roundoff-negative eigenvalues.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero and the trace renormalized;
-    the adjustment is recorded in the returned value's note.
+    the adjustment is recorded in the returned value's note.  Stack-aware: a
+    stack of matrices is validated matrix by matrix with one eigensolve call.
+    The checks run in the order Hermiticity, positivity, trace, and each
+    refuses the stack for its first failing matrix.
     """
-    m = linalg.as_complex_matrix(m)
+    m = linalg.as_complex_matrix(m, stack=True)
     values, vectors = linalg.hermitian_eig(m)
     clamped = linalg.clamp_spectrum(values, EIG_CLAMP_TOL)
-    trace = float(values.sum())
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValidationError(f"trace {trace} differs from 1 by more than {TRACE_TOL:.1e}")
+    trace = values.sum(axis=-1)
+    off = np.abs(trace - 1.0) > TRACE_TOL
+    if off.any():
+        index = linalg.first_index(off)
+        raise ValidationError(
+            f"trace {float(trace[index])} differs from 1 by more than {TRACE_TOL:.1e}{linalg.stack_suffix(index)}"
+        )
+    out = (m + dagger(m)) / 2
+    negative = values < 0.0
+    rebuild = negative.any(axis=-1)
     note = None
-    if np.any(values < 0.0):
-        n_clamped = int(np.count_nonzero(values < 0.0))
-        rebuilt = (vectors * clamped) @ dagger(vectors)
-        rebuilt /= float(clamped.sum())
-        note = f"clamped {n_clamped} eigenvalue(s) in [-{EIG_CLAMP_TOL:.0e}, 0) and renormalized"
-        m = rebuilt
-    else:
-        m = (m + dagger(m)) / 2
-    return DensityMatrix(matrix=frozen(m), dim=m.shape[0], note=note)
+    if rebuild.any():
+        # Only the matrices with clamped eigenvalues are rebuilt from their spectra.
+        kept, vecs = clamped[rebuild], vectors[rebuild]
+        rebuilt = (vecs * kept[..., None, :]) @ dagger(vecs)
+        rebuilt /= kept.sum(axis=-1)[..., None, None]
+        out[rebuild] = rebuilt
+        note = (f"clamped {int(np.count_nonzero(negative))} eigenvalue(s) in "
+                f"[-{EIG_CLAMP_TOL:.0e}, 0) and renormalized")
+    return DensityMatrix(matrix=frozen(out), dim=out.shape[-1], note=note)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -127,14 +144,19 @@ def random_pure(dim: int, seed: int) -> PureState:
     return random_pure_from(substream(seed), dim)
 
 
-def random_density_from(rng: np.random.Generator, dim: int, rank: int) -> DensityMatrix:
-    """Gaussian-induced random state G G* / Tr(G G*) with G of shape dim x rank."""
+def random_state_matrix_from(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """Gaussian-induced random state G G* / Tr(G G*), G of shape dim x rank, unvalidated."""
     if not 1 <= rank <= dim:
         raise UsageError(f"rank must lie in [1, {dim}], got {rank}")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ dagger(g)
     m /= float(np.trace(m).real)
-    return density_from_matrix(m)
+    return m
+
+
+def random_density_from(rng: np.random.Generator, dim: int, rank: int) -> DensityMatrix:
+    """The validated state of ``random_state_matrix_from``."""
+    return density_from_matrix(random_state_matrix_from(rng, dim, rank))
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:

@@ -2,11 +2,16 @@
 
 Every claim returns ``reporting.Check`` records, the entries of the report:
 one per claim, a (sampled, remark) pair for prop4 and five sub-checks in
-report order for the theorem, each of those timed on its own.  Batch checks
-run through ``worst_over``, which scores each sample on its own substream and
-keeps the lowest margin.  Tolerance ledger: exact algebraic identities
-1e-10..1e-12, inequality claims -1e-9 (arithmetic-limited), optimizer-backed
-equalities 1e-5..1e-6 (restart-limited).
+report order for the theorem, each of those timed on its own.  Sampled claims
+run through ``worst_over``: each sample is drawn from its own substream, in
+index order, and the samples are scored as stacks of at most
+``STACK_SAMPLES``, so a claim's memory is bounded by that constant, not by its
+batch size.  monotonicity, entropy_increase, theorem.eq13, prop1, prop2 and
+prop3 validate, apply and take entropies of a whole stack with one call per
+operation; eq3, eq5 and gradient_fd score their samples one at a time.  Only
+the worst sample's check record is built.  Tolerance ledger: exact algebraic
+identities 1e-10..1e-12, inequality claims -1e-9 (arithmetic-limited),
+optimizer-backed equalities 1e-5..1e-6 (restart-limited).
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import replace
 from types import MappingProxyType
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -31,8 +37,8 @@ from .channels import (
     schur_matrix,
 )
 from .entropy import entropy_of_spectrum, relative_entropy_nats, subnormalized_entropy, vn_nats
-from .errors import UsageError
-from .linalg import dagger, frobenius, frozen, hermitian_eig, partial_trace
+from .errors import NumericalError, UsageError
+from .linalg import dagger, first_index, frobenius, frozen, hermitian_eig, partial_trace
 from .optimize import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -51,6 +57,7 @@ from .states import (
     pure_to_density,
     random_density_from,
     random_pure_from,
+    random_state_matrix_from,
     random_unitary_from,
 )
 
@@ -64,6 +71,11 @@ BASIS_PROJ_TOL = 1e-11
 GRADIENT_TOL = 1e-5
 MARGINAL_TOL = 1e-8
 PROP4_TOL = 1e-10
+
+#: Most samples a sampled claim scores as one stack.  At l = 5 the largest
+#: array of a full prop3 stack, the lifted channel's (64, 625, 25) product, is
+#: 16 MB.
+STACK_SAMPLES = 64
 
 
 # Lifted tables kept per process, one per (system, dim_k) or (resolution,
@@ -107,29 +119,83 @@ def _family_average(family: weyl_mod.SubgroupFamily, x: np.ndarray, dim_k: int =
 def _family_mixture(
     family: weyl_mod.SubgroupFamily, weights, x: np.ndarray, dim_k: int = 1
 ) -> np.ndarray:
+    """Sum_g w_g U_g x U_g*; a stack of states takes a stack of weight rows."""
     unitaries = _unitaries(family.system, dim_k)
     acc = np.zeros_like(x)
-    for w, g in zip(weights, family.elements):
+    for w, g in zip(np.moveaxis(np.asarray(weights), -1, 0), family.elements):
         u = unitaries[g]
-        acc = acc + w * (u @ x @ dagger(u))
+        acc = acc + w[..., None, None] * (u @ x @ dagger(u))
     return acc
 
 
-def worst_over(
-    samples: int, seed: int, draw: Callable[[np.random.Generator, int], Check], *path: int
-) -> Check:
-    """The lowest-margin check of ``draw(substream(seed, *path, i), i)`` over the batch.
+class Scores(NamedTuple):
+    """The margins of a stack of samples, and the check record of any one of them."""
 
-    The first index wins a tie.  The witness gains ``worst_index`` and
-    ``samples``, and the record carries the batch seed.
+    margins: np.ndarray
+    check: Callable[[int], Check]
+
+
+def _each(chunk: list[Check]) -> Scores:
+    """Scores of samples that were drawn as their own check records."""
+    return Scores(np.array([c.margin for c in chunk], dtype=float), chunk.__getitem__)
+
+
+def _scores(
+    claim_id: str, lhs, rhs, witness: Callable[[int], dict[str, Any]] | None = None, **fields
+) -> Scores:
+    """Scores of stacked lhs and rhs values; a sample's record is built on request."""
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+
+    def check(j: int) -> Check:
+        return verdict(claim_id, lhs=float(lhs[j]), rhs=float(rhs[j]),
+                       witness=None if witness is None else witness(j), **fields)
+
+    return Scores(lhs - rhs, check)
+
+
+def _grouped(groups: np.ndarray, score: Callable[[int, np.ndarray], Scores]) -> Scores:
+    """Scores of a stack whose samples fall into groups scored apart, ``score(group, rows)``."""
+    margins = np.empty(len(groups))
+    parts = {}
+    for group in dict.fromkeys(groups.tolist()):
+        rows = np.flatnonzero(groups == group)
+        parts[group] = rows, score(group, rows)
+        margins[rows] = parts[group][1].margins
+
+    def check(j: int) -> Check:
+        rows, scores = parts[groups[j]]
+        return scores.check(int(np.searchsorted(rows, j)))
+
+    return Scores(margins, check)
+
+
+def worst_over(
+    samples: int, seed: int, draw: Callable[[np.random.Generator, int], Any], *path: int,
+    score: Callable[[list], Scores] = _each,
+) -> Check:
+    """The lowest-margin check over the samples ``draw(substream(seed, *path, i), i)``.
+
+    Samples are drawn in index order and handed to ``score`` in stacks of at
+    most ``STACK_SAMPLES``; without ``score`` each draw is its own check
+    record.  Only the worst sample's record is built, and the first index wins
+    a tie.  A NaN margin raises ``NumericalError`` naming the claim and the
+    first such sample.  The witness gains ``worst_index`` and ``samples``, and
+    the record carries the batch seed.
     """
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     worst, worst_index = None, 0
-    for i in range(samples):
-        check = draw(substream(seed, *path, i), i)
-        if worst is None or check.margin < worst.margin:
-            worst, worst_index = check, i
+    for start in range(0, samples, STACK_SAMPLES):
+        stop = min(samples, start + STACK_SAMPLES)
+        scores = score([draw(substream(seed, *path, i), i) for i in range(start, stop)])
+        margins = np.asarray(scores.margins, dtype=float)
+        nan = np.isnan(margins)
+        if nan.any():
+            j = first_index(nan)[0]
+            raise NumericalError(f"{scores.check(j).claim_id}: margin of sample {start + j} is NaN")
+        j = int(np.argmin(margins))
+        if worst is None or margins[j] < worst.margin:
+            worst, worst_index = scores.check(j), start + j
     witness = {**(worst.witness or {}), "worst_index": worst_index, "samples": samples}
     return replace(worst, witness=witness, seed=seed)
 
@@ -231,6 +297,33 @@ def check_eq12(l: int, q) -> Check:
 # prop1: coset coarse-graining decreases output entropy
 
 
+def _check_dim(x: np.ndarray, l: int, dim_k: int) -> None:
+    if x.shape[-1] != l * dim_k:
+        raise UsageError(f"state dimension {x.shape[-1]} != {l} * {dim_k}")
+
+
+def _prop1_scores(
+    system: weyl_mod.WeylSystem, lam: np.ndarray, eps: np.ndarray, x: np.ndarray, dim_k: int,
+    seed: int | None = None,
+) -> Scores:
+    """prop1 on stacked weight rows (n, l) and states (n, l dim_k, l dim_k)."""
+    l = system.l
+    lifted = _lifted_unitaries(system, dim_k)
+    lhs_mat = np.zeros_like(x)
+    for k in range(l):
+        for t in range(l):
+            u = lifted[(t, k)]
+            lhs_mat = lhs_mat + (lam[:, k] * eps[:, t])[:, None, None] * (u @ x @ dagger(u))
+    rhs_mat = np.zeros_like(x)
+    for k in range(l):
+        u = lifted[(0, k)]
+        rhs_mat = rhs_mat + lam[:, k, None, None] * (u @ x @ dagger(u))
+    return _scores(
+        "prop1", vn_nats(lhs_mat), vn_nats(rhs_mat), tolerance=INEQ_TOL, seed=seed, units="nats",
+        witness=lambda j: {"lambda": lam[j].tolist(), "epsilon": eps[j].tolist(), "dim_k": dim_k},
+    )
+
+
 def prop1_report(
     system: weyl_mod.WeylSystem,
     lam,
@@ -245,8 +338,7 @@ def prop1_report(
     {(t, 0)}; their product populates the whole group.
     """
     l = system.l
-    if x.dim != l * dim_k:
-        raise UsageError(f"state dimension {x.dim} != {l} * {dim_k}")
+    _check_dim(x.matrix, l, dim_k)
     lam = np.asarray(lam, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if lam.shape != (l,) or eps.shape != (l,):
@@ -254,23 +346,7 @@ def prop1_report(
     for name, w in (("lambda", lam), ("epsilon", eps)):
         if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
             raise UsageError(f"{name} weights must form a probability vector")
-    lifted = _lifted_unitaries(system, dim_k)
-    lhs_mat = np.zeros_like(x.matrix)
-    for k in range(l):
-        for t in range(l):
-            u = lifted[(t, k)]
-            lhs_mat = lhs_mat + lam[k] * eps[t] * (u @ x.matrix @ dagger(u))
-    rhs_mat = np.zeros_like(x.matrix)
-    for k in range(l):
-        u = lifted[(0, k)]
-        rhs_mat = rhs_mat + lam[k] * (u @ x.matrix @ dagger(u))
-    lhs = vn_nats(lhs_mat)
-    rhs = vn_nats(rhs_mat)
-    return verdict(
-        "prop1", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
-        witness={"lambda": lam.tolist(), "epsilon": eps.tolist(), "dim_k": dim_k},
-        seed=seed, units="nats",
-    )
+    return _prop1_scores(system, lam[None], eps[None], x.matrix[None], dim_k, seed).check(0)
 
 
 def verify_prop1(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = None) -> Check:
@@ -280,14 +356,36 @@ def verify_prop1(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = 
     def draw(rng, i):
         lam = rng.dirichlet(np.ones(l))
         eps = rng.dirichlet(np.ones(l))
-        x = random_density_from(rng, l * dim_k, int(rng.integers(1, l * dim_k + 1)))
-        return prop1_report(system, lam, eps, x, dim_k)
+        return lam, eps, random_state_matrix_from(rng, l * dim_k, int(rng.integers(1, l * dim_k + 1)))
 
-    return worst_over(samples, seed, draw)
+    def score(chunk):
+        lam, eps, x = (np.array(column) for column in zip(*chunk))
+        return _prop1_scores(system, lam, eps, density_from_matrix(x).matrix, dim_k)
+
+    return worst_over(samples, seed, draw, score=score)
 
 
 # ---------------------------------------------------------------------------
 # prop2: entropy bound through the fixed-point resolution
+
+
+def _prop2_scores(
+    family: weyl_mod.SubgroupFamily, lam: np.ndarray, x: np.ndarray, dim_k: int,
+    seed: int | None = None,
+) -> Scores:
+    """prop2 on stacked weight rows (n, l) and states (n, l dim_k, l dim_k)."""
+    l = family.system.l
+    resolution = weyl_mod.fixed_point_resolution(family)
+    lhs = vn_nats(_family_mixture(family, lam, x, dim_k))
+    ex = _family_average(family, x, dim_k)
+    middle = np.zeros(len(x))
+    for proj in _lifted_projections(resolution, dim_k):
+        middle = middle + subnormalized_entropy(partial_trace(proj @ ex, l, dim_k, side="left"))
+    rhs = entropy_of_spectrum(lam) + middle - math.log(l)
+    return _scores(
+        "prop2", lhs, rhs, tolerance=INEQ_TOL, seed=seed, units="nats",
+        witness=lambda j: {"family": family.label, "lambda": lam[j].tolist(), "dim_k": dim_k},
+    )
 
 
 def prop2_report(
@@ -298,27 +396,12 @@ def prop2_report(
     seed: int | None = None,
 ) -> Check:
     """S((Phi (x) Id)(x)) >= H(lam) + Sum_k S_sub(Tr_H((P_k (x) I) E(x))) - log l."""
-    system = family.system
-    l = system.l
-    if x.dim != l * dim_k:
-        raise UsageError(f"state dimension {x.dim} != {l} * {dim_k}")
+    l = family.system.l
+    _check_dim(x.matrix, l, dim_k)
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (l,) or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-12:
         raise UsageError(f"need a probability vector of {l} mixture weights")
-    resolution = weyl_mod.fixed_point_resolution(family)
-    phix = _family_mixture(family, lam, x.matrix, dim_k)
-    ex = _family_average(family, x.matrix, dim_k)
-    lhs = vn_nats(phix)
-    middle = 0.0
-    for proj in _lifted_projections(resolution, dim_k):
-        block = partial_trace(proj @ ex, l, dim_k, side="left")
-        middle += subnormalized_entropy(block)
-    rhs = entropy_of_spectrum(lam) + middle - math.log(l)
-    return verdict(
-        "prop2", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
-        witness={"family": family.label, "lambda": lam.tolist(), "dim_k": dim_k},
-        seed=seed, units="nats",
-    )
+    return _prop2_scores(family, lam[None], x.matrix[None], dim_k, seed).check(0)
 
 
 def verify_prop2(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = None) -> Check:
@@ -326,12 +409,16 @@ def verify_prop2(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = 
     families = weyl_mod.all_order_l_subgroups(weyl_mod.weyl_system(l))
 
     def draw(rng, i):
-        family = families[i % len(families)]
         lam = rng.dirichlet(np.ones(l))
-        x = random_density_from(rng, l * dim_k, int(rng.integers(1, l * dim_k + 1)))
-        return prop2_report(family, lam, x, dim_k)
+        x = random_state_matrix_from(rng, l * dim_k, int(rng.integers(1, l * dim_k + 1)))
+        return i % len(families), lam, x
 
-    return worst_over(samples, seed, draw)
+    def score(chunk):
+        family, lam, x = (np.array(column) for column in zip(*chunk))
+        x = density_from_matrix(x).matrix
+        return _grouped(family, lambda f, rows: _prop2_scores(families[f], lam[rows], x[rows], dim_k))
+
+    return worst_over(samples, seed, draw, score=score)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +429,12 @@ def depolarizing_entropy_constant(l: int, p: float) -> float:
     """-(1-(l-1)p/l) log(1-(l-1)p/l) - (l-1)(p/l) log(p/l), the weight entropy."""
     lam0 = 1.0 - (l - 1) * p / l
     return entropy_of_spectrum(np.array([lam0] + [p / l] * (l - 1)))
+
+
+def _normalized_entropy(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(entropy of block / Tr(block), Tr(block)) for a stack of blocks."""
+    trace = np.trace(block, axis1=-2, axis2=-1).real
+    return vn_nats(block / trace[:, None, None]), trace
 
 
 def prop3_report(
@@ -361,91 +454,93 @@ def prop3_report(
     Tr((P (x) I) x) is within 1e-8 of 1/l.
     """
     lifted = depolarizing(l, p).tensor(identity_channel(dim_k))
-    return _prop3_report(lifted, l, p, x, dim_k, mode, search_count, seed)
+    return _prop3_scores(lifted, l, p, x.matrix[None], dim_k, mode, search_count, seed).check(0)
 
 
-def _prop3_report(
-    lifted: KrausChannel, l: int, p: float, x: DensityMatrix, dim_k: int,
+def _prop3_scores(
+    lifted: KrausChannel, l: int, p: float, x: np.ndarray, dim_k: int,
     mode: str, search_count: int, seed: int | None,
-) -> Check:
-    """``prop3_report`` with Phi (x) Id_K built by the caller."""
-    if x.dim != l * dim_k:
-        raise UsageError(f"state dimension {x.dim} != {l} * {dim_k}")
+) -> Scores:
+    """prop3 on a stack of states, with Phi (x) Id_K built by the caller."""
+    _check_dim(x, l, dim_k)
     system = weyl_mod.weyl_system(l)
-    marginal = partial_trace(x.matrix, l, dim_k, side="right")
-    lhs = vn_nats(lifted.apply_matrix(x.matrix))
+    samples = len(x)
+    marginal = partial_trace(x, l, dim_k, side="right")
+    lhs = vn_nats(lifted.apply_matrix(x))
     h_const = depolarizing_entropy_constant(l, p)
+    fields = {"tolerance": INEQ_TOL, "seed": seed, "units": "nats"}
 
     if mode == "constructive":
         deviation = frobenius(marginal - np.eye(l) / l)
-        if deviation > MARGINAL_TOL:
+        far = deviation > MARGINAL_TOL
+        if far.any():
             raise UsageError(
                 f"constructive mode needs Tr_K(x) = I/l within {MARGINAL_TOL:.0e} "
-                f"(deviation {deviation:.3e}); use search mode"
+                f"(deviation {deviation[first_index(far)]:.3e}); use search mode"
             )
         _, vectors = hermitian_eig(marginal)
         w = dagger(vectors)  # W Tr_K(x) W* is diagonal, approximately I/l
-        wx = _lift(w, dim_k) @ x.matrix @ dagger(_lift(w, dim_k))
-        best_entropy = math.inf
-        best = (0, 0)
-        trace_dev = 0.0
+        wx = _lift(w, dim_k) @ x @ dagger(_lift(w, dim_k))
+        best_entropy = np.full(samples, math.inf)
+        best = np.zeros((samples, 2), dtype=int)
+        trace_dev = np.zeros(samples)
         for k in range(l):
             family = weyl_mod.diagonal_subgroup(system, k)
             resolution = weyl_mod.fixed_point_resolution(family)
             for j, proj in enumerate(_lifted_projections(resolution, dim_k)):
-                block = partial_trace(proj @ wx, l, dim_k, side="left")
-                tr = float(np.trace(block).real)
-                entr = vn_nats(block / tr)
-                if entr < best_entropy:
-                    best_entropy = entr
-                    best = (k, j)
-                    trace_dev = abs(tr - 1.0 / l)
-        rhs = h_const + best_entropy
-        witness = {
-            "mode": mode, "subgroup": best[0], "projection": best[1],
-            "trace_deviation": trace_dev, "marginal_deviation": deviation,
-            "h_constant": h_const, "state_entropy": best_entropy, "p": p,
-        }
-    elif mode == "search":
+                entr, tr = _normalized_entropy(partial_trace(proj @ wx, l, dim_k, side="left"))
+                better = entr < best_entropy
+                best_entropy = np.where(better, entr, best_entropy)
+                best[better] = k, j
+                trace_dev = np.where(better, np.abs(tr - 1.0 / l), trace_dev)
+
+        def witness(i: int) -> dict[str, Any]:
+            return {
+                "mode": mode, "subgroup": int(best[i, 0]), "projection": int(best[i, 1]),
+                "trace_deviation": float(trace_dev[i]), "marginal_deviation": float(deviation[i]),
+                "h_constant": h_const, "state_entropy": float(best_entropy[i]), "p": p,
+            }
+
+        return _scores("prop3", lhs, h_const + best_entropy, witness, **fields)
+
+    if mode == "search":
         rng = substream(seed if seed is not None else 0, 999)
         _, m_vecs = hermitian_eig(marginal)
-        candidates = [m_vecs[:, i] for i in range(l)]
+        candidates = [m_vecs[:, :, i] for i in range(l)]
         for _ in range(search_count):
-            candidates.append(random_pure_from(rng, l).amplitudes)
-        best_margin = -math.inf
-        kept = 0
-        best_entropy = math.nan
+            candidates.append(np.broadcast_to(random_pure_from(rng, l).amplitudes, (samples, l)))
+        best_margin = np.full(samples, -math.inf)
+        best_entropy = np.full(samples, math.nan)
+        kept = np.zeros(samples, dtype=int)
         for v in candidates:
-            overlap = float(np.real(np.vdot(v, marginal @ v)))
-            if abs(overlap - 1.0 / l) > MARGINAL_TOL:
-                continue
-            kept += 1
-            proj = np.outer(v, v.conj())
-            block = partial_trace(_lift(proj, dim_k) @ x.matrix, l, dim_k, side="left")
-            entr = vn_nats(block / float(np.trace(block).real))
-            margin = lhs - (h_const + entr)
-            if margin > best_margin:
-                best_margin = margin
-                best_entropy = entr
-        if kept == 0:
-            return verdict(
-                "prop3", lhs=lhs, rhs=math.inf, tolerance=INEQ_TOL,
-                witness={"mode": mode, "candidates_kept": 0, "p": p,
-                         "note": "no projection matched the 1/l overlap requirement"},
-                seed=seed, units="nats",
-            )
-        rhs = lhs - best_margin
-        witness = {"mode": mode, "candidates_kept": kept,
-                   "h_constant": h_const, "state_entropy": best_entropy, "p": p}
-    else:
-        raise UsageError(f"mode must be 'constructive' or 'search', got {mode!r}")
+            overlap = np.real(v.conj()[:, None, :] @ (marginal @ v[:, :, None]))[:, 0, 0]
+            rows = np.flatnonzero(~(np.abs(overlap - 1.0 / l) > MARGINAL_TOL))
+            kept[rows] += 1
+            proj = v[rows, :, None] * v[rows, None, :].conj()
+            entr, _ = _normalized_entropy(
+                partial_trace(_lift(proj, dim_k) @ x[rows], l, dim_k, side="left"))
+            margin = lhs[rows] - (h_const + entr)
+            better = margin > best_margin[rows]
+            best_margin[rows[better]] = margin[better]
+            best_entropy[rows[better]] = entr[better]
 
-    return verdict("prop3", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
-                   witness=witness, seed=seed, units="nats")
+        def witness(i: int) -> dict[str, Any]:
+            if kept[i] == 0:
+                return {"mode": mode, "candidates_kept": 0, "p": p,
+                        "note": "no projection matched the 1/l overlap requirement"}
+            return {"mode": mode, "candidates_kept": int(kept[i]),
+                    "h_constant": h_const, "state_entropy": float(best_entropy[i]), "p": p}
+
+        rhs = np.where(kept == 0, math.inf, lhs - best_margin)
+        return _scores("prop3", lhs, rhs, witness, **fields)
+
+    raise UsageError(f"mode must be 'constructive' or 'search', got {mode!r}")
 
 
-def random_mixed_marginal_state(rng: np.random.Generator, l: int, dim_k: int, max_terms: int = 3) -> DensityMatrix:
-    """Random state on H (x) K whose H marginal is exactly maximally mixed.
+def random_mixed_marginal_matrix(
+    rng: np.random.Generator, l: int, dim_k: int, max_terms: int = 3
+) -> np.ndarray:
+    """Random state on H (x) K whose H marginal is exactly maximally mixed, unvalidated.
 
     Mixture of locally rotated maximally entangled states; needs dim_k >= l.
     """
@@ -461,7 +556,12 @@ def random_mixed_marginal_state(rng: np.random.Generator, l: int, dim_k: int, ma
         u = np.kron(random_unitary_from(rng, l), random_unitary_from(rng, dim_k))
         v = u @ omega
         x = x + w * np.outer(v, v.conj())
-    return density_from_matrix(x)
+    return x
+
+
+def random_mixed_marginal_state(rng: np.random.Generator, l: int, dim_k: int, max_terms: int = 3) -> DensityMatrix:
+    """The validated state of ``random_mixed_marginal_matrix``."""
+    return density_from_matrix(random_mixed_marginal_matrix(rng, l, dim_k, max_terms))
 
 
 def verify_prop3(
@@ -477,10 +577,13 @@ def verify_prop3(
     lifted = depolarizing(l, p).tensor(identity_channel(dim_k))
 
     def draw(rng, i):
-        x = random_mixed_marginal_state(rng, l, dim_k)
-        return _prop3_report(lifted, l, p, x, dim_k, mode, search_count, seed)
+        return random_mixed_marginal_matrix(rng, l, dim_k)
 
-    return worst_over(samples, seed, draw)
+    def score(chunk):
+        x = density_from_matrix(np.array(chunk)).matrix
+        return _prop3_scores(lifted, l, p, x, dim_k, mode, search_count, seed)
+
+    return worst_over(samples, seed, draw, score=score)
 
 
 # ---------------------------------------------------------------------------
@@ -621,24 +724,28 @@ def monotonicity_suite(c: KrausChannel, pairs: int = 1000, seed: int = 0) -> Che
     """min over pairs of S(rho1, rho2) - S(c(rho1), c(rho2)); infinite lhs passes.
 
     A pair with infinite relative entropy scores margin inf and is counted in
-    the witness's ``infinite_count``.
+    the witness's ``infinite_count``; the channel is applied only to the
+    other pairs.
     """
     infinite = 0
 
     def draw(rng, i):
-        nonlocal infinite
-        rho1 = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
-        rho2 = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
-        before = relative_entropy_nats(rho1.matrix, rho2.matrix)
-        if math.isinf(before):
-            infinite += 1
-            margin = math.inf
-        else:
-            after = relative_entropy_nats(c.apply_matrix(rho1.matrix), c.apply_matrix(rho2.matrix))
-            margin = before - after  # after is finite when before is, up to the kernel cutoff
-        return verdict("monotonicity", lhs=margin, rhs=0.0, tolerance=INEQ_TOL, units="nats")
+        return [random_state_matrix_from(rng, c.dim, int(rng.integers(1, c.dim + 1))) for _ in range(2)]
 
-    worst = worst_over(pairs, seed, draw)
+    def score(chunk):
+        nonlocal infinite
+        states = density_from_matrix(np.array(chunk)).matrix
+        rho1, rho2 = states[:, 0], states[:, 1]
+        before = relative_entropy_nats(rho1, rho2)
+        finite = ~np.isinf(before)
+        infinite += int(np.count_nonzero(~finite))
+        margins = np.full(len(chunk), math.inf)
+        # after is finite when before is, up to the kernel cutoff
+        after = relative_entropy_nats(c.apply_matrix(rho1[finite]), c.apply_matrix(rho2[finite]))
+        margins[finite] = before[finite] - after
+        return _scores("monotonicity", margins, 0.0, tolerance=INEQ_TOL, units="nats")
+
+    worst = worst_over(pairs, seed, draw, score=score)
     return replace(worst, witness={**worst.witness, "infinite_count": infinite})
 
 
@@ -646,11 +753,14 @@ def entropy_increase_suite(c: KrausChannel, samples: int = 1000, seed: int = 0) 
     """min over states of S(c(rho)) - S(rho); nonnegative for bistochastic channels."""
 
     def draw(rng, i):
-        rho = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
-        margin = vn_nats(c.apply_matrix(rho.matrix)) - vn_nats(rho.matrix)
-        return verdict("entropy_increase", lhs=margin, rhs=0.0, tolerance=INEQ_TOL, units="nats")
+        return random_state_matrix_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
 
-    return worst_over(samples, seed, draw)
+    def score(chunk):
+        rho = density_from_matrix(np.array(chunk)).matrix
+        return _scores("entropy_increase", vn_nats(c.apply_matrix(rho)) - vn_nats(rho), 0.0,
+                       tolerance=INEQ_TOL, units="nats")
+
+    return worst_over(samples, seed, draw, score=score)
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +819,14 @@ def verify_theorem(
         phin = phi.tensor_power(n)
 
         def draw(rng, i):
-            x = random_density_from(rng, l ** n, int(rng.integers(1, l ** n + 1)))
-            return verdict(f"theorem.eq13_n{n}", lhs=vn_nats(xin.apply_matrix(x.matrix)),
-                           rhs=vn_nats(phin.apply_matrix(x.matrix)), tolerance=INEQ_TOL, units="nats")
+            return random_state_matrix_from(rng, l ** n, int(rng.integers(1, l ** n + 1)))
 
-        return worst_over(eq13_samples, seed, draw, 100 + n)
+        def score(chunk):
+            x = density_from_matrix(np.array(chunk)).matrix
+            return _scores(f"theorem.eq13_n{n}", vn_nats(xin.apply_matrix(x)),
+                           vn_nats(phin.apply_matrix(x)), tolerance=INEQ_TOL, units="nats")
+
+        return worst_over(eq13_samples, seed, draw, 100 + n, score=score)
 
     def additivity() -> Check:
         return check_additivity(

@@ -1,0 +1,292 @@
+"""The stacked scoring of sampled claims against a per-sample reference loop.
+
+``qchan.verify`` draws every sample of a claim from its own substream and
+scores the samples as stacks.  The reference functions below draw the same
+sample from the same substream and score it alone, one matrix per call, in the
+order of operations of the claim's definition.  Every per-sample margin of the
+stacked path must equal the reference's exactly.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+
+from qchan import verify as verify_mod
+from qchan import weyl
+from qchan.channels import depolarizing, identity_channel, phase_damping
+from qchan.cli import main
+from qchan.entropy import entropy_of_spectrum, relative_entropy_nats, subnormalized_entropy, vn_nats
+from qchan.errors import NotPositiveError, NumericalError
+from qchan.linalg import dagger, frobenius, hermitian_eig, partial_trace
+from qchan.reporting import verdict
+from qchan.rng import substream
+from qchan.states import random_density_from, random_pure_from
+from qchan.verify import (
+    MARGINAL_TOL,
+    Scores,
+    depolarizing_entropy_constant,
+    entropy_increase_suite,
+    monotonicity_suite,
+    random_mixed_marginal_state,
+    verify_prop1,
+    verify_prop2,
+    verify_prop3,
+    verify_theorem,
+    worst_over,
+)
+
+SAMPLES = 7
+
+
+# ------------------------------------------------------- per-sample reference
+
+
+def _lift(u, dim_k):
+    return np.kron(u, np.eye(dim_k))
+
+
+def ref_monotonicity(c, rng, i):
+    rho1 = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
+    rho2 = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
+    before = relative_entropy_nats(rho1.matrix, rho2.matrix)
+    if math.isinf(before):
+        return math.inf
+    return before - relative_entropy_nats(c.apply_matrix(rho1.matrix), c.apply_matrix(rho2.matrix))
+
+
+def ref_entropy_increase(c, rng, i):
+    rho = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
+    return vn_nats(c.apply_matrix(rho.matrix)) - vn_nats(rho.matrix)
+
+
+def ref_eq13(xin, phin, dim, rng, i):
+    x = random_density_from(rng, dim, int(rng.integers(1, dim + 1)))
+    return vn_nats(xin.apply_matrix(x.matrix)) - vn_nats(phin.apply_matrix(x.matrix))
+
+
+def ref_prop1(l, dim_k, rng, i):
+    lam = rng.dirichlet(np.ones(l))
+    eps = rng.dirichlet(np.ones(l))
+    x = random_density_from(rng, l * dim_k, int(rng.integers(1, l * dim_k + 1))).matrix
+    system = weyl.weyl_system(l)
+    lhs_mat = np.zeros_like(x)
+    for k in range(l):
+        for t in range(l):
+            u = _lift(system.unitary((t, k)), dim_k)
+            lhs_mat = lhs_mat + lam[k] * eps[t] * (u @ x @ dagger(u))
+    rhs_mat = np.zeros_like(x)
+    for k in range(l):
+        u = _lift(system.unitary((0, k)), dim_k)
+        rhs_mat = rhs_mat + lam[k] * (u @ x @ dagger(u))
+    return vn_nats(lhs_mat) - vn_nats(rhs_mat)
+
+
+def ref_prop2(l, dim_k, rng, i):
+    families = weyl.all_order_l_subgroups(weyl.weyl_system(l))
+    family = families[i % len(families)]
+    lam = rng.dirichlet(np.ones(l))
+    x = random_density_from(rng, l * dim_k, int(rng.integers(1, l * dim_k + 1))).matrix
+    lifted = [_lift(u, dim_k) for u in family.unitaries()]
+    phix = sum(w * (u @ x @ dagger(u)) for w, u in zip(lam, lifted))
+    ex = np.zeros_like(x)
+    for u in lifted:
+        ex = ex + u @ x @ dagger(u)
+    ex = ex / len(lifted)
+    middle = 0.0
+    for proj in weyl.fixed_point_resolution(family).projections:
+        middle += subnormalized_entropy(partial_trace(_lift(proj, dim_k) @ ex, l, dim_k, "left"))
+    return vn_nats(phix) - (entropy_of_spectrum(lam) + middle - math.log(l))
+
+
+def ref_prop3(l, p, dim_k, mode, search_count, seed, rng, i):
+    x = random_mixed_marginal_state(rng, l, dim_k).matrix
+    lifted = depolarizing(l, p).tensor(identity_channel(dim_k))
+    system = weyl.weyl_system(l)
+    marginal = partial_trace(x, l, dim_k, side="right")
+    lhs = vn_nats(lifted.apply_matrix(x))
+    h_const = depolarizing_entropy_constant(l, p)
+    if mode == "constructive":
+        assert frobenius(marginal - np.eye(l) / l) <= MARGINAL_TOL
+        w = dagger(hermitian_eig(marginal).vectors)
+        wx = _lift(w, dim_k) @ x @ dagger(_lift(w, dim_k))
+        best = math.inf
+        for k in range(l):
+            resolution = weyl.fixed_point_resolution(weyl.diagonal_subgroup(system, k))
+            for proj in resolution.projections:
+                block = partial_trace(_lift(proj, dim_k) @ wx, l, dim_k, side="left")
+                best = min(best, vn_nats(block / float(np.trace(block).real)))
+        return lhs - (h_const + best)
+    search = substream(seed, 999)
+    m_vecs = hermitian_eig(marginal).vectors
+    candidates = [m_vecs[:, i] for i in range(l)]
+    candidates += [random_pure_from(search, l).amplitudes for _ in range(search_count)]
+    best_margin = -math.inf
+    for v in candidates:
+        if abs(float(np.real(np.vdot(v, marginal @ v))) - 1.0 / l) > MARGINAL_TOL:
+            continue
+        block = partial_trace(_lift(np.outer(v, v.conj()), dim_k) @ x, l, dim_k, side="left")
+        best_margin = max(best_margin, lhs - (h_const + vn_nats(block / float(np.trace(block).real))))
+    return lhs - (lhs - best_margin) if best_margin > -math.inf else -math.inf
+
+
+def _reference(samples, seed, path, score_one):
+    return [score_one(substream(seed, *path, i), i) for i in range(samples)]
+
+
+# ----------------------------------------------------------- stacked margins
+
+
+@pytest.fixture
+def stacked_margins(monkeypatch):
+    """Runs a claim and returns (path, per-sample margins) of each stacked batch it scored."""
+    real = verify_mod.worst_over
+
+    def run(claim):
+        batches = []
+
+        def spy(samples, seed, draw, *path, score):
+            margins = []
+
+            def recording(chunk):
+                scores = score(chunk)
+                margins.extend(np.asarray(scores.margins).tolist())
+                return scores
+
+            check = real(samples, seed, draw, *path, score=recording)
+            batches.append((path, margins))
+            return check
+
+        monkeypatch.setattr(verify_mod, "worst_over", spy)
+        try:
+            claim()
+        finally:
+            monkeypatch.setattr(verify_mod, "worst_over", real)
+        return batches
+
+    return run
+
+
+def _damped(l):
+    return phase_damping(l, (0.5,) * (l - 1)).compose(depolarizing(l, 0.3)).reduced()
+
+
+@pytest.mark.parametrize("stack", [None, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_stacked_margins_equal_the_per_sample_reference(stacked_margins, monkeypatch, l, seed, stack):
+    if stack is not None:
+        monkeypatch.setattr(verify_mod, "STACK_SAMPLES", stack)
+    c = _damped(l)
+    cases = [
+        (lambda: monotonicity_suite(c, SAMPLES, seed), lambda rng, i: ref_monotonicity(c, rng, i)),
+        (lambda: entropy_increase_suite(c, SAMPLES, seed), lambda rng, i: ref_entropy_increase(c, rng, i)),
+        (lambda: verify_prop1(l, SAMPLES, seed), lambda rng, i: ref_prop1(l, l, rng, i)),
+        (lambda: verify_prop2(l, SAMPLES, seed), lambda rng, i: ref_prop2(l, l, rng, i)),
+        (lambda: verify_prop3(l, 0.3, SAMPLES, seed),
+         lambda rng, i: ref_prop3(l, 0.3, l, "constructive", 0, seed, rng, i)),
+        (lambda: verify_prop3(l, 0.3, SAMPLES, seed, mode="search", search_count=4),
+         lambda rng, i: ref_prop3(l, 0.3, l, "search", 4, seed, rng, i)),
+    ]
+    for claim, score_one in cases:
+        [(path, margins)] = stacked_margins(claim)
+        assert path == ()
+        assert margins == _reference(SAMPLES, seed, path, score_one)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_stacked_eq13_margins_equal_the_per_sample_reference(stacked_margins, l, seed):
+    batches = stacked_margins(lambda: verify_theorem(l, 0.3, (0.5,) * (l - 1), restarts=1, seed=seed,
+                                                     eq13_samples=5, max_iter=20))
+    phi = depolarizing(l, 0.3)
+    xi = phase_damping(l, (0.5,) * (l - 1)).compose(phi).reduced()
+    assert [path for path, _ in batches] == [(101,), (102,)]
+    for n, (path, margins) in zip((1, 2), batches):
+        xin, phin = xi.tensor_power(n), phi.tensor_power(n)
+        assert margins == _reference(5, seed, path, lambda rng, i: ref_eq13(xin, phin, l ** n, rng, i))
+
+
+# ------------------------------------------------------------ the driver
+
+
+def _fixed(margins):
+    """A score function whose samples are their indices and whose margins are given."""
+
+    def score(chunk):
+        return Scores(np.array([margins[i] for i in chunk]),
+                      lambda j: verdict("c", lhs=margins[chunk[j]], rhs=0.0, tolerance=1e-9,
+                                        witness={"i": chunk[j]}))
+
+    return score
+
+
+@pytest.mark.parametrize("stack", [1, 2, 3, 64])
+def test_first_index_wins_a_tie_within_and_across_stacks(monkeypatch, stack):
+    monkeypatch.setattr(verify_mod, "STACK_SAMPLES", stack)
+    margins = [0.5, 0.2, -1.0, -1.0, 0.0, -1.0]
+    worst = worst_over(6, 7, lambda rng, i: i, score=_fixed(margins))
+    assert worst.margin == -1.0
+    assert worst.witness == {"i": 2, "worst_index": 2, "samples": 6}
+
+
+@pytest.mark.parametrize("stack", [1, 2, 64])
+@pytest.mark.parametrize("margins, first_nan", [
+    ([0.5, math.nan, 0.7], 1),
+    ([math.nan, -1.0, 0.3], 0),
+    ([0.1, -1.0, math.nan], 2),
+])
+def test_a_nan_margin_raises_naming_the_claim_and_sample(monkeypatch, stack, margins, first_nan):
+    monkeypatch.setattr(verify_mod, "STACK_SAMPLES", stack)
+    with pytest.raises(NumericalError, match=f"^c: margin of sample {first_nan} is NaN$"):
+        worst_over(3, 0, lambda rng, i: i, score=_fixed(margins))
+    with pytest.raises(NumericalError, match=f"^c: margin of sample {first_nan} is NaN$"):
+        worst_over(3, 0, lambda rng, i: verdict("c", lhs=margins[i], rhs=0.0, tolerance=1e-9))
+
+
+def test_a_nan_margin_exits_with_status_3(monkeypatch, capsys):
+    monkeypatch.setattr(verify_mod, "resolution_residual", lambda *args: math.nan)
+    assert main(["verify", "eq3", "--l", "2", "--samples", "3"]) == 3
+    assert "eq3: margin of sample 0 is NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stack", [1, 3, 64])
+def test_a_non_psd_sample_mid_batch_is_refused_at_the_lowest_index(monkeypatch, stack):
+    monkeypatch.setattr(verify_mod, "STACK_SAMPLES", stack)
+    real = verify_mod.random_state_matrix_from
+    drawn = []
+    injected = {5: -0.3, 7: -0.6}
+
+    def sampler(rng, dim, rank):
+        m = real(rng, dim, rank)
+        index = len(drawn)
+        drawn.append(index)
+        if index in injected:
+            m = np.diag([1.0 - injected[index], injected[index], 0.0]).astype(complex)
+        return m
+
+    monkeypatch.setattr(verify_mod, "random_state_matrix_from", sampler)
+    with pytest.raises(NotPositiveError) as err:
+        entropy_increase_suite(_damped(3), samples=10, seed=1)
+    assert err.value.eigenvalue == pytest.approx(-0.3)
+
+
+def _stripped_report(tmp_path, l):
+    out = tmp_path / f"report-l{l}.json"
+    code = main(["verify", "all", "--l", str(l), "--p", "0.3", "--q", "0.5", "--seed", "42",
+                 "--samples", "7", "--pairs", "9", "--eq13-samples", "4", "--search-count", "5",
+                 "--restarts", "1", "--output", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    del doc["wall_clock_ms"]
+    for check in doc["checks"]:
+        del check["elapsed_ms"]
+    return doc
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_report_does_not_depend_on_the_stack_size(monkeypatch, tmp_path, l):
+    whole = _stripped_report(tmp_path, l)
+    for stack in (1, 3):
+        monkeypatch.setattr(verify_mod, "STACK_SAMPLES", stack)
+        assert _stripped_report(tmp_path, l) == whole

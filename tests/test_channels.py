@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qchan import channels as channels_mod
 from qchan import weyl
 from qchan.channels import (
     PhaseDampingParams,
     choi_distance,
+    choi_matrix,
     conditional_expectation,
     depolarizing,
     eq9_decomposition,
@@ -22,6 +24,7 @@ from qchan.channels import (
     structural_checks,
 )
 from qchan.entropy import vn_nats
+from qchan.linalg import hermitian_eigvals
 from qchan.errors import (
     CapacityError,
     NotCompletelyPositiveError,
@@ -182,6 +185,23 @@ def test_structural_checks_constructors_pass():
               phase_damping(4, (0.6, 0.3, 0.9)), pauli_qubit(0.5, 0.3, 0.2)):
         checks = structural_checks(c)
         assert checks.trace_preserving and checks.unital and checks.completely_positive
+
+
+def test_choi_is_built_on_first_read():
+    c = depolarizing(3, 0.4)
+    assert "choi" not in vars(c)
+    choi = c.choi
+    assert c.choi is choi and not choi.flags.writeable
+    assert np.array_equal(choi, choi_matrix(c.ops))
+
+
+def test_structural_checks_solve_for_eigenvalues_only(monkeypatch):
+    def full_solve(*args, **kwargs):
+        raise AssertionError("structural_checks reads only the eigenvalues")
+
+    monkeypatch.setattr(channels_mod, "hermitian_eig", full_solve)
+    c = phase_damping(3, (0.5, 0.5)).compose(depolarizing(3, 0.3))
+    assert structural_checks(c).choi_min_eigenvalue == float(hermitian_eigvals(c.choi)[0])
 
 
 def test_structural_checks_flags_broken_kraus():

@@ -131,6 +131,11 @@ def test_hermitian_eig_rejects_non_hermitian():
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eigvals_rejects_non_hermitian():
+    with pytest.raises(ValidationError):
+        linalg.hermitian_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_hermitian_eig_rejects_nan():
     with pytest.raises(ValidationError):
         linalg.hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))

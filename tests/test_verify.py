@@ -523,7 +523,8 @@ def test_worst_over_draws_each_sample_from_its_own_substream():
 
 
 def test_monotonicity_all_infinite_pairs(monkeypatch):
-    monkeypatch.setattr(verify_mod, "relative_entropy_nats", lambda a, b: math.inf)
+    # relative_entropy_nats takes stacks of states and returns one value per pair.
+    monkeypatch.setattr(verify_mod, "relative_entropy_nats", lambda a, b: np.full(len(a), math.inf))
     rep = monotonicity_suite(depolarizing(2, 0.5), pairs=6, seed=3)
     assert rep.margin == math.inf and rep.lhs == math.inf and rep.passed
     assert rep.witness == {"worst_index": 0, "samples": 6, "infinite_count": 6}
