@@ -38,7 +38,7 @@ from .channels import (
 )
 from .entropy import entropy_of_spectrum, relative_entropy_nats, subnormalized_entropy, vn_nats
 from .errors import NumericalError, UsageError
-from .linalg import dagger, first_index, frobenius, frozen, hermitian_eig, partial_trace
+from .linalg import dagger, frobenius, frozen, hermitian_eig, partial_trace
 from .optimize import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -188,13 +188,12 @@ def worst_over(
     for start in range(0, samples, STACK_SAMPLES):
         stop = min(samples, start + STACK_SAMPLES)
         scores = score([draw(substream(seed, *path, i), i) for i in range(start, stop)])
-        margins = np.asarray(scores.margins, dtype=float)
-        nan = np.isnan(margins)
+        nan = np.isnan(scores.margins)
         if nan.any():
-            j = first_index(nan)[0]
+            j = int(np.argmax(nan))
             raise NumericalError(f"{scores.check(j).claim_id}: margin of sample {start + j} is NaN")
-        j = int(np.argmin(margins))
-        if worst is None or margins[j] < worst.margin:
+        j = int(np.argmin(scores.margins))
+        if worst is None or scores.margins[j] < worst.margin:
             worst, worst_index = scores.check(j), start + j
     witness = {**(worst.witness or {}), "worst_index": worst_index, "samples": samples}
     return replace(worst, witness=witness, seed=seed)
@@ -476,7 +475,7 @@ def _prop3_scores(
         if far.any():
             raise UsageError(
                 f"constructive mode needs Tr_K(x) = I/l within {MARGINAL_TOL:.0e} "
-                f"(deviation {deviation[first_index(far)]:.3e}); use search mode"
+                f"(deviation {deviation[np.argmax(far)]:.3e}); use search mode"
             )
         _, vectors = hermitian_eig(marginal)
         w = dagger(vectors)  # W Tr_K(x) W* is diagonal, approximately I/l

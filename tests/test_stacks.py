@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qchan import channels as channels_mod
-from qchan.channels import depolarizing, phase_damping, random_channel
+from qchan.channels import depolarizing, phase_damping
 from qchan.entropy import entropy_of_spectrum, relative_entropy_nats, subnormalized_entropy, vn_nats
 from qchan.errors import NotPositiveError, ValidationError
 from qchan.linalg import (
@@ -132,9 +132,3 @@ def test_stack_is_refused_for_its_first_failing_matrix():
     with pytest.raises(ValidationError, match="expected a square matrix"):
         hermitian_eig(np.zeros((4, 2, 3)))
 
-
-def test_random_channel_outputs_match_one_matrix_at_a_time():
-    c = random_channel(3, 4, seed=8)
-    x = density_from_matrix(_states(3, 7, seed=9)).matrix
-    outputs = c.apply_matrix(x)
-    _each_equal(vn_nats(outputs), [vn_nats(c.apply_matrix(m)) for m in x])
