@@ -108,6 +108,33 @@ def partial_trace(
     raise UsageError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def apply_left(
+    a: np.ndarray, x: np.ndarray, dim_left: int, dim_right: int, conjugate: bool = False
+) -> np.ndarray:
+    """(a (x) I) x, or (a (x) I) x (a (x) I)* with ``conjugate`` (stack-aware).
+
+    ``x`` acts on a dim_left x dim_right space, as in ``partial_trace``, and
+    ``a`` on the left factor; a stack of ``a`` broadcasts against a stack of
+    ``x``.  The operand is reshaped so that ``a`` meets the left index alone,
+    and ``a (x) I`` is never built.  With dim_right = 1 the result has the bits
+    of ``a @ x`` and ``a @ x @ dagger(a)``.
+    """
+    dim = x.shape[-1]
+    if dim_left < 1 or dim_right < 1 or dim_left * dim_right != dim:
+        raise UsageError(f"dimension {dim} does not factor as {dim_left} x {dim_right}")
+    if a.shape[-2:] != (dim_left, dim_left):
+        raise UsageError(f"left operator of shape {a.shape} does not act on dimension {dim_left}")
+    y = a @ x.reshape(*x.shape[:-2], dim_left, dim_right * dim)
+    batch = y.shape[:-2]
+    y = y.reshape(*batch, dim, dim)
+    if not conjugate:
+        return y
+    # The right product as one (dim * dim_right, dim_left) @ a* product.
+    rows = y.reshape(*batch, dim, dim_left, dim_right).swapaxes(-1, -2)
+    z = rows.reshape(*batch, dim * dim_right, dim_left) @ dagger(a)
+    return z.reshape(*batch, dim, dim_right, dim_left).swapaxes(-1, -2).reshape(*batch, dim, dim)
+
+
 class HermitianEigen(NamedTuple):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
 

@@ -15,11 +15,9 @@ optimizer-backed equalities 1e-5..1e-6 (restart-limited).
 """
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import replace
-from types import MappingProxyType
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -38,7 +36,7 @@ from .channels import (
 )
 from .entropy import entropy_of_spectrum, relative_entropy_nats, subnormalized_entropy, vn_nats
 from .errors import NumericalError, UsageError
-from .linalg import dagger, frobenius, frozen, hermitian_eig, partial_trace
+from .linalg import apply_left, dagger, frobenius, hermitian_eig, partial_trace
 from .optimize import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -78,53 +76,19 @@ PROP4_TOL = 1e-10
 STACK_SAMPLES = 64
 
 
-# Lifted tables kept per process, one per (system, dim_k) or (resolution,
-# dim_k).  Keys are dimensions and cached Weyl objects, never state data or
-# channel parameters, so the caches do not grow with the samples.  A unitary
-# table holds l^2 matrices of (l * dim_k)^2 entries: 11 KB at l = dim_k = 3,
-# 1.9 MB at 7 and 28 MB at 11.
-LIFT_CACHE_SIZE = 16
-
-
-def _lift(u: np.ndarray, dim_k: int) -> np.ndarray:
-    return np.kron(u, np.eye(dim_k))
-
-
-@functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
-def _lifted_unitaries(system: weyl_mod.WeylSystem, dim_k: int) -> Mapping[weyl_mod.Element, np.ndarray]:
-    """U_g (x) I_K for every group element, read-only."""
-    return MappingProxyType({g: frozen(_lift(u, dim_k)) for g, u in system.unitaries.items()})
-
-
-@functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
-def _lifted_projections(resolution: weyl_mod.OrthogonalResolution, dim_k: int) -> tuple[np.ndarray, ...]:
-    """P_j (x) I_K for every projection of the resolution, read-only."""
-    return tuple(frozen(_lift(p, dim_k)) for p in resolution.projections)
-
-
-def _unitaries(system: weyl_mod.WeylSystem, dim_k: int) -> Mapping[weyl_mod.Element, np.ndarray]:
-    return system.unitaries if dim_k == 1 else _lifted_unitaries(system, dim_k)
-
-
 def _family_average(family: weyl_mod.SubgroupFamily, x: np.ndarray, dim_k: int = 1) -> np.ndarray:
     """Uniform conjugation average over the family, tensored with identity on K."""
-    unitaries = _unitaries(family.system, dim_k)
     acc = np.zeros_like(x)
-    for g in family.elements:
-        u = unitaries[g]
-        acc = acc + u @ x @ dagger(u)
+    for u in family.unitaries():
+        acc = acc + apply_left(u, x, family.system.l, dim_k, conjugate=True)
     return acc / len(family.elements)
 
 
-def _family_mixture(
-    family: weyl_mod.SubgroupFamily, weights, x: np.ndarray, dim_k: int = 1
-) -> np.ndarray:
-    """Sum_g w_g U_g x U_g*; a stack of states takes a stack of weight rows."""
-    unitaries = _unitaries(family.system, dim_k)
+def _family_mixture(unitaries: list[np.ndarray], weights, x: np.ndarray, dim_k: int = 1) -> np.ndarray:
+    """Sum_g w_g (U_g (x) I_K) x (U_g (x) I_K)*; a stack of states takes a stack of weight rows."""
     acc = np.zeros_like(x)
-    for w, g in zip(np.moveaxis(np.asarray(weights), -1, 0), family.elements):
-        u = unitaries[g]
-        acc = acc + w[..., None, None] * (u @ x @ dagger(u))
+    for w, u in zip(np.moveaxis(np.asarray(weights), -1, 0), unitaries):
+        acc = acc + w[..., None, None] * apply_left(u, x, len(u), dim_k, conjugate=True)
     return acc
 
 
@@ -219,10 +183,7 @@ def resolution_residual(
     if not weyl_mod.is_transversal(system, reps, subgroup):
         raise UsageError(f"{transversal!r} representatives do not cut the cosets exactly once")
     averaged = _family_average(subgroup, x.matrix)
-    total = np.zeros_like(averaged)
-    for g in reps:
-        u = system.unitary(g)
-        total = total + u @ averaged @ dagger(u)
+    total = _family_mixture([system.unitary(g) for g in reps], np.ones(len(reps)), averaged)
     return frobenius(total - np.eye(system.l))
 
 
@@ -243,9 +204,9 @@ def intertwining_residuals(
 ) -> tuple[float, float]:
     """(||E(Phi(x)) - E(x)||_F, ||Phi(E(x)) - E(x)||_F) for the family mixture Phi."""
     ex = _family_average(family, x.matrix)
-    phix = _family_mixture(family, weights, x.matrix)
+    phix = _family_mixture(family.unitaries(), weights, x.matrix)
     r1 = frobenius(_family_average(family, phix) - ex)
-    r2 = frobenius(_family_mixture(family, weights, ex) - ex)
+    r2 = frobenius(_family_mixture(family.unitaries(), weights, ex) - ex)
     return r1, r2
 
 
@@ -307,16 +268,9 @@ def _prop1_scores(
 ) -> Scores:
     """prop1 on stacked weight rows (n, l) and states (n, l dim_k, l dim_k)."""
     l = system.l
-    lifted = _lifted_unitaries(system, dim_k)
-    lhs_mat = np.zeros_like(x)
-    for k in range(l):
-        for t in range(l):
-            u = lifted[(t, k)]
-            lhs_mat = lhs_mat + (lam[:, k] * eps[:, t])[:, None, None] * (u @ x @ dagger(u))
-    rhs_mat = np.zeros_like(x)
-    for k in range(l):
-        u = lifted[(0, k)]
-        rhs_mat = rhs_mat + lam[:, k, None, None] * (u @ x @ dagger(u))
+    group = [system.unitary((t, k)) for k in range(l) for t in range(l)]
+    lhs_mat = _family_mixture(group, (lam[:, :, None] * eps[:, None, :]).reshape(-1, l * l), x, dim_k)
+    rhs_mat = _family_mixture([system.unitary((0, k)) for k in range(l)], lam, x, dim_k)
     return _scores(
         "prop1", vn_nats(lhs_mat), vn_nats(rhs_mat), tolerance=INEQ_TOL, seed=seed, units="nats",
         witness=lambda j: {"lambda": lam[j].tolist(), "epsilon": eps[j].tolist(), "dim_k": dim_k},
@@ -375,11 +329,12 @@ def _prop2_scores(
     """prop2 on stacked weight rows (n, l) and states (n, l dim_k, l dim_k)."""
     l = family.system.l
     resolution = weyl_mod.fixed_point_resolution(family)
-    lhs = vn_nats(_family_mixture(family, lam, x, dim_k))
+    lhs = vn_nats(_family_mixture(family.unitaries(), lam, x, dim_k))
     ex = _family_average(family, x, dim_k)
     middle = np.zeros(len(x))
-    for proj in _lifted_projections(resolution, dim_k):
-        middle = middle + subnormalized_entropy(partial_trace(proj @ ex, l, dim_k, side="left"))
+    for proj in resolution.projections:
+        block = partial_trace(apply_left(proj, ex, l, dim_k), l, dim_k, side="left")
+        middle = middle + subnormalized_entropy(block)
     rhs = entropy_of_spectrum(lam) + middle - math.log(l)
     return _scores(
         "prop2", lhs, rhs, tolerance=INEQ_TOL, seed=seed, units="nats",
@@ -479,15 +434,16 @@ def _prop3_scores(
             )
         _, vectors = hermitian_eig(marginal)
         w = dagger(vectors)  # W Tr_K(x) W* is diagonal, approximately I/l
-        wx = _lift(w, dim_k) @ x @ dagger(_lift(w, dim_k))
+        wx = apply_left(w, x, l, dim_k, conjugate=True)
         best_entropy = np.full(samples, math.inf)
         best = np.zeros((samples, 2), dtype=int)
         trace_dev = np.zeros(samples)
         for k in range(l):
             family = weyl_mod.diagonal_subgroup(system, k)
             resolution = weyl_mod.fixed_point_resolution(family)
-            for j, proj in enumerate(_lifted_projections(resolution, dim_k)):
-                entr, tr = _normalized_entropy(partial_trace(proj @ wx, l, dim_k, side="left"))
+            for j, proj in enumerate(resolution.projections):
+                entr, tr = _normalized_entropy(
+                    partial_trace(apply_left(proj, wx, l, dim_k), l, dim_k, side="left"))
                 better = entr < best_entropy
                 best_entropy = np.where(better, entr, best_entropy)
                 best[better] = k, j
@@ -517,7 +473,7 @@ def _prop3_scores(
             kept[rows] += 1
             proj = v[rows, :, None] * v[rows, None, :].conj()
             entr, _ = _normalized_entropy(
-                partial_trace(_lift(proj, dim_k) @ x[rows], l, dim_k, side="left"))
+                partial_trace(apply_left(proj, x[rows], l, dim_k), l, dim_k, side="left"))
             margin = lhs[rows] - (h_const + entr)
             better = margin > best_margin[rows]
             best_margin[rows[better]] = margin[better]

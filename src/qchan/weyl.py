@@ -102,7 +102,7 @@ def irreducibility_residual(system: WeylSystem, x: np.ndarray) -> float:
     x = linalg.as_complex_matrix(x)
     twirl = np.zeros_like(x)
     for u in system.unitaries.values():
-        twirl += u @ x @ dagger(u)
+        twirl += linalg.apply_left(u, x, system.l, 1, conjugate=True)
     twirl /= system.l ** 2
     target = np.trace(x) / system.l * np.eye(system.l)
     return frobenius(twirl - target)
@@ -208,18 +208,14 @@ class OrthogonalResolution:
 EIG_CLUSTER_TOL = 1e-8
 
 
-def fixed_point_resolution(family: SubgroupFamily, cluster_tol: float = EIG_CLUSTER_TOL) -> OrthogonalResolution:
+@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def fixed_point_resolution(family: SubgroupFamily) -> OrthogonalResolution:
     """Projections generating the family's fixed-point (commutant) algebra.
 
     Requires the conjugation action of the family to be abelian and its joint
     eigenspaces one-dimensional; obtained from the generator's eigenvectors.
     Built and checked once per family; later calls return the same object.
     """
-    return _resolution(family, cluster_tol)
-
-
-@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _resolution(family: SubgroupFamily, cluster_tol: float) -> OrthogonalResolution:
     system = family.system
     l = system.l
     for g in family.elements:
@@ -237,7 +233,7 @@ def _resolution(family: SubgroupFamily, cluster_tol: float) -> OrthogonalResolut
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     for i in range(l):
         for j in range(i + 1, l):
-            if abs(eigvals[i] - eigvals[j]) < cluster_tol:
+            if abs(eigvals[i] - eigvals[j]) < EIG_CLUSTER_TOL:
                 raise StructureError(
                     f"family {family.label}: generator eigenvalue {eigvals[i]:.6f} has "
                     f"multiplicity > 1; fixed algebra is degenerate"

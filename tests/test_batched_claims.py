@@ -3,8 +3,9 @@
 ``qchan.verify`` draws every sample of a claim from its own substream and
 scores the samples as stacks.  The reference functions below draw the same
 sample from the same substream and score it alone, one matrix per call, in the
-order of operations of the claim's definition.  Every per-sample margin of the
-stacked path must equal the reference's exactly.
+order of operations of the claim's definition, with ``linalg.apply_left``
+applying each operator on the H factor to one matrix at a time.  Every
+per-sample margin of the stacked path must equal the reference's exactly.
 """
 import json
 import math
@@ -18,7 +19,7 @@ from qchan.channels import depolarizing, identity_channel, phase_damping
 from qchan.cli import main
 from qchan.entropy import entropy_of_spectrum, relative_entropy_nats, subnormalized_entropy, vn_nats
 from qchan.errors import NotPositiveError, NumericalError
-from qchan.linalg import dagger, frobenius, hermitian_eig, partial_trace
+from qchan.linalg import apply_left, dagger, frobenius, hermitian_eig, partial_trace
 from qchan.reporting import verdict
 from qchan.rng import substream
 from qchan.states import random_density_from, random_pure_from
@@ -40,10 +41,6 @@ SAMPLES = 7
 
 
 # ------------------------------------------------------- per-sample reference
-
-
-def _lift(u, dim_k):
-    return np.kron(u, np.eye(dim_k))
 
 
 def ref_monotonicity(c, rng, i):
@@ -73,12 +70,12 @@ def ref_prop1(l, dim_k, rng, i):
     lhs_mat = np.zeros_like(x)
     for k in range(l):
         for t in range(l):
-            u = _lift(system.unitary((t, k)), dim_k)
-            lhs_mat = lhs_mat + lam[k] * eps[t] * (u @ x @ dagger(u))
+            u = system.unitary((t, k))
+            lhs_mat = lhs_mat + lam[k] * eps[t] * apply_left(u, x, l, dim_k, conjugate=True)
     rhs_mat = np.zeros_like(x)
     for k in range(l):
-        u = _lift(system.unitary((0, k)), dim_k)
-        rhs_mat = rhs_mat + lam[k] * (u @ x @ dagger(u))
+        u = system.unitary((0, k))
+        rhs_mat = rhs_mat + lam[k] * apply_left(u, x, l, dim_k, conjugate=True)
     return vn_nats(lhs_mat) - vn_nats(rhs_mat)
 
 
@@ -87,15 +84,15 @@ def ref_prop2(l, dim_k, rng, i):
     family = families[i % len(families)]
     lam = rng.dirichlet(np.ones(l))
     x = random_density_from(rng, l * dim_k, int(rng.integers(1, l * dim_k + 1))).matrix
-    lifted = [_lift(u, dim_k) for u in family.unitaries()]
-    phix = sum(w * (u @ x @ dagger(u)) for w, u in zip(lam, lifted))
+    conjugates = [apply_left(u, x, l, dim_k, conjugate=True) for u in family.unitaries()]
+    phix = sum(w * y for w, y in zip(lam, conjugates))
     ex = np.zeros_like(x)
-    for u in lifted:
-        ex = ex + u @ x @ dagger(u)
-    ex = ex / len(lifted)
+    for y in conjugates:
+        ex = ex + y
+    ex = ex / len(conjugates)
     middle = 0.0
     for proj in weyl.fixed_point_resolution(family).projections:
-        middle += subnormalized_entropy(partial_trace(_lift(proj, dim_k) @ ex, l, dim_k, "left"))
+        middle += subnormalized_entropy(partial_trace(apply_left(proj, ex, l, dim_k), l, dim_k, "left"))
     return vn_nats(phix) - (entropy_of_spectrum(lam) + middle - math.log(l))
 
 
@@ -109,12 +106,12 @@ def ref_prop3(l, p, dim_k, mode, search_count, seed, rng, i):
     if mode == "constructive":
         assert frobenius(marginal - np.eye(l) / l) <= MARGINAL_TOL
         w = dagger(hermitian_eig(marginal).vectors)
-        wx = _lift(w, dim_k) @ x @ dagger(_lift(w, dim_k))
+        wx = apply_left(w, x, l, dim_k, conjugate=True)
         best = math.inf
         for k in range(l):
             resolution = weyl.fixed_point_resolution(weyl.diagonal_subgroup(system, k))
             for proj in resolution.projections:
-                block = partial_trace(_lift(proj, dim_k) @ wx, l, dim_k, side="left")
+                block = partial_trace(apply_left(proj, wx, l, dim_k), l, dim_k, side="left")
                 best = min(best, vn_nats(block / float(np.trace(block).real)))
         return lhs - (h_const + best)
     search = substream(seed, 999)
@@ -125,7 +122,7 @@ def ref_prop3(l, p, dim_k, mode, search_count, seed, rng, i):
     for v in candidates:
         if abs(float(np.real(np.vdot(v, marginal @ v))) - 1.0 / l) > MARGINAL_TOL:
             continue
-        block = partial_trace(_lift(np.outer(v, v.conj()), dim_k) @ x, l, dim_k, side="left")
+        block = partial_trace(apply_left(np.outer(v, v.conj()), x, l, dim_k), l, dim_k, side="left")
         best_margin = max(best_margin, lhs - (h_const + vn_nats(block / float(np.trace(block).real))))
     return lhs - (lhs - best_margin) if best_margin > -math.inf else -math.inf
 

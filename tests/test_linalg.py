@@ -3,6 +3,7 @@ import pytest
 
 from qchan import linalg
 from qchan.errors import CapacityError, NotPositiveError, NumericalError, UsageError, ValidationError
+from qchan.states import random_unitary
 
 rng = np.random.default_rng(20260809)
 
@@ -98,6 +99,53 @@ def test_partial_trace_recovers_tensor_factor():
     x = linalg.tensor_product(np.eye(2), b)
     out = linalg.partial_trace(x, 2, 3, "left")
     assert np.abs(out - 2 * b).max() < 1e-12
+
+
+def _left_oracle(a, x, dim_right, conjugate):
+    lifted = np.kron(a, np.eye(dim_right))
+    return lifted @ x @ lifted.conj().T if conjugate else lifted @ x
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("dl, dr", [(2, 3), (3, 2), (3, 3)])
+def test_apply_left_matches_the_kron_oracle(dl, dr, conjugate):
+    for _ in range(5):
+        u, x = random_unitary(dl, seed=int(rng.integers(1 << 30))), randc(dl * dr, dl * dr)
+        got = linalg.apply_left(u, x, dl, dr, conjugate)
+        assert np.abs(got - _left_oracle(u, x, dr, conjugate)).max() <= 1e-15 * linalg.frobenius(x)
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("dl, dr", [(2, 3), (3, 2)])
+def test_apply_left_on_stacks_matches_the_oracle_and_the_one_matrix_bits(dl, dr, conjugate):
+    xs = randc(4, dl * dr, dl * dr)
+    one = random_unitary(dl, seed=3)
+    many = np.array([random_unitary(dl, seed=s) for s in range(4)])
+    # one operator for the whole stack, one operator per matrix, and a broadcast (3, 4) grid
+    for a, want_shape in ((one, (4,)), (many, (4,)), (many[:3, None], (3, 4))):
+        got = linalg.apply_left(a, xs, dl, dr, conjugate)
+        assert got.shape == (*want_shape, dl * dr, dl * dr)
+        for index in np.ndindex(*want_shape):
+            a_i = np.broadcast_to(a, (*want_shape, dl, dl))[index]
+            x_i = xs[index[-1]]
+            assert np.array_equal(got[index], linalg.apply_left(a_i, x_i, dl, dr, conjugate))
+            oracle = _left_oracle(a_i, x_i, dr, conjugate)
+            assert np.abs(got[index] - oracle).max() <= 1e-15 * linalg.frobenius(x_i)
+
+
+def test_apply_left_without_a_right_factor_is_the_plain_product():
+    for dim in (2, 3, 5):
+        u, x, xs = randc(dim, dim), randc(dim, dim), randc(3, dim, dim)
+        assert np.array_equal(linalg.apply_left(u, x, dim, 1), u @ x)
+        assert np.array_equal(linalg.apply_left(u, x, dim, 1, conjugate=True), u @ x @ linalg.dagger(u))
+        assert np.array_equal(linalg.apply_left(u, xs, dim, 1, conjugate=True), u @ xs @ linalg.dagger(u))
+
+
+def test_apply_left_bad_dims():
+    with pytest.raises(UsageError):
+        linalg.apply_left(np.eye(2), np.eye(6), 4, 2)
+    with pytest.raises(UsageError):
+        linalg.apply_left(np.eye(3), np.eye(6), 2, 3)
 
 
 def test_partial_trace_bad_dims():

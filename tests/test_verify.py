@@ -448,32 +448,14 @@ def _clear_caches() -> dict:
     return caches
 
 
-def test_lifted_operators_are_shared_and_read_only():
-    system = weyl.weyl_system(3)
-    resolution = weyl.fixed_point_resolution(weyl.phase_subgroup(system))
-    unitaries = verify_mod._lifted_unitaries(system, 2)
-    projections = verify_mod._lifted_projections(resolution, 2)
-    assert verify_mod._lifted_unitaries(system, 2) is unitaries
-    assert verify_mod._lifted_projections(resolution, 2) is projections
-    with pytest.raises(TypeError):
-        unitaries[(0, 0)] = np.eye(6)
-    for g, u in system.unitaries.items():
-        assert np.array_equal(unitaries[g], np.kron(u, np.eye(2)))
-    for lifted, proj in zip(projections, resolution.projections):
-        assert np.array_equal(lifted, np.kron(proj, np.eye(2)))
-    for arr in (*unitaries.values(), *projections):
-        assert not arr.flags.writeable
-
-
 def test_caches_do_not_grow_with_job_data():
     caches = _clear_caches()
-    assert {"qchan.weyl.weyl_system", "qchan.weyl._resolution",
-            "qchan.verify._lifted_unitaries", "qchan.verify._lifted_projections"} <= set(caches)
+    assert {"qchan.weyl.weyl_system", "qchan.weyl.fixed_point_resolution"} <= set(caches)
     ps = np.linspace(0.1, 0.9, 20)
     verify_prop3(2, float(ps[0]), samples=2, seed=0)
     verify_prop2(2, samples=4, seed=0)
     first = {name: fn.cache_info().currsize for name, fn in caches.items()}
-    assert first["qchan.weyl._resolution"] > 0
+    assert first["qchan.weyl.fixed_point_resolution"] > 0
     for i in range(1, 20):
         verify_prop3(2, float(ps[i]), samples=2, seed=0)
         verify_prop2(2, samples=4, seed=i)
