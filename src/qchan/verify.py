@@ -678,14 +678,16 @@ def check_multiplicativity(
 def monotonicity_suite(c: KrausChannel, pairs: int = 1000, seed: int = 0) -> Check:
     """min over pairs of S(rho1, rho2) - S(c(rho1), c(rho2)); infinite lhs passes.
 
-    A pair with infinite relative entropy scores margin inf and is counted in
-    the witness's ``infinite_count``; the channel is applied only to the
-    other pairs.
+    rho1 has a random rank and rho2 full rank, so every pair's relative
+    entropy is finite up to the kernel cutoff.  A pair with infinite relative
+    entropy all the same scores margin inf and is counted in the witness's
+    ``infinite_count``; the channel is applied only to the other pairs.
     """
     infinite = 0
 
     def draw(rng, i):
-        return [random_state_matrix_from(rng, c.dim, int(rng.integers(1, c.dim + 1))) for _ in range(2)]
+        rho1 = random_state_matrix_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
+        return [rho1, random_state_matrix_from(rng, c.dim, c.dim)]
 
     def score(chunk):
         nonlocal infinite

@@ -45,7 +45,7 @@ SAMPLES = 7
 
 def ref_monotonicity(c, rng, i):
     rho1 = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
-    rho2 = random_density_from(rng, c.dim, int(rng.integers(1, c.dim + 1)))
+    rho2 = random_density_from(rng, c.dim, c.dim)
     before = relative_entropy_nats(rho1.matrix, rho2.matrix)
     if math.isinf(before):
         return math.inf

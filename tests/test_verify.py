@@ -364,6 +364,14 @@ def test_monotonicity_depolarizing():
     assert rep.passed and rep.margin >= -1e-9
 
 
+@pytest.mark.parametrize("l", [2, 3])
+def test_monotonicity_pairs_all_test_the_inequality(l):
+    # A pair with infinite S(rho1, rho2) passes without testing anything.
+    rep = monotonicity_suite(depolarizing(l, 0.3), pairs=200, seed=42)
+    assert rep.witness["infinite_count"] == 0
+    assert rep.passed and math.isfinite(rep.lhs)
+
+
 def test_monotonicity_dephasing_infinite_before_finite_after():
     plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
     minus = PureState(np.array([1.0, -1.0]) / math.sqrt(2))
