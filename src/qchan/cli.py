@@ -347,35 +347,31 @@ def _csv_number(x: Any) -> str:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--l", type=int, default=2, help="Hilbert space dimension")
-    parser.add_argument("--p", type=float, default=0.5, help="depolarizing strength")
-    parser.add_argument("--q", type=str, default=None,
-                        help="comma-separated damping coefficients q_1..q_{l-1}")
-    parser.add_argument("--lambdas", type=str, default=None,
-                        help="comma-separated Bloch factors for --channel pauli")
-    parser.add_argument("--channel", choices=CHANNEL_KINDS, default="depolarizing")
-    parser.add_argument("--channel-file", type=str, default=None)
-    parser.add_argument("--state-file", type=str, default=None)
-    parser.add_argument("--p-norm", type=float, default=2.0, help="output norm index p > 1")
-    parser.add_argument("--restarts", type=int, default=20)
-    parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--tol", type=float, default=1e-9, help="gradient norm tolerance")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=None, help="batch size for sampled checks")
-    parser.add_argument("--pairs", type=int, default=1000, help="state pairs for monotonicity")
-    parser.add_argument("--eq13-samples", type=int, default=20)
-    parser.add_argument("--transversal", choices=("shift", "phase"), default="shift")
-    parser.add_argument("--mode", choices=("constructive", "search"), default="constructive")
-    parser.add_argument("--search-count", type=int, default=200)
-    parser.add_argument("--log-base", choices=("e", "2"), default="e")
-    parser.add_argument("--format", dest="output_format", choices=("json", "csv", "text"),
-                        default="json")
-    parser.add_argument("--output", dest="output_path", type=str, default=None)
+    """The options every command takes; their defaults are ``RunConfig``'s."""
+    parser.add_argument("--l", type=int, help="Hilbert space dimension")
+    parser.add_argument("--p", type=float, help="depolarizing strength")
+    parser.add_argument("--q", type=str, help="comma-separated damping coefficients q_1..q_{l-1}")
+    parser.add_argument("--lambdas", type=str, help="comma-separated Bloch factors for --channel pauli")
+    parser.add_argument("--channel", choices=CHANNEL_KINDS)
+    parser.add_argument("--channel-file", type=str)
+    parser.add_argument("--state-file", type=str)
+    parser.add_argument("--p-norm", type=float, help="output norm index p > 1")
+    parser.add_argument("--restarts", type=int)
+    parser.add_argument("--max-iter", type=int)
+    parser.add_argument("--tol", type=float, help="gradient norm tolerance")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--samples", type=int, help="batch size for sampled checks")
+    parser.add_argument("--pairs", type=int, help="state pairs for monotonicity")
+    parser.add_argument("--eq13-samples", type=int)
+    parser.add_argument("--transversal", choices=("shift", "phase"))
+    parser.add_argument("--mode", choices=("constructive", "search"))
+    parser.add_argument("--search-count", type=int)
+    parser.add_argument("--log-base", choices=("e", "2"))
+    parser.add_argument("--format", dest="output_format", choices=("json", "csv", "text"))
+    parser.add_argument("--output", dest="output_path", type=str)
 
 
-def _parse_floats(raw: str | None, flag: str) -> tuple[float, ...] | None:
-    if raw is None:
-        return None
+def _parse_floats(raw: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
     except ValueError as exc:
@@ -384,29 +380,34 @@ def _parse_floats(raw: str | None, flag: str) -> tuple[float, ...] | None:
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused for every call."""
+    """The argument parser, built on first use and reused for every call.
+
+    No action carries a default: an option left out is absent from the
+    namespace, and ``RunConfig`` supplies its value.
+    """
     parser = argparse.ArgumentParser(
         prog="qchan",
         description="Construct bistochastic channels and verify their entropy claims.",
+        argument_default=argparse.SUPPRESS,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("channel-info", "entropy", "min-entropy", "capacity",
                  "additivity", "multiplicativity"):
-        _add_common(sub.add_parser(name))
-    verify = sub.add_parser("verify")
+        _add_common(sub.add_parser(name, argument_default=argparse.SUPPRESS))
+    verify = sub.add_parser("verify", argument_default=argparse.SUPPRESS)
     verify.add_argument("claim", choices=VERIFY_CLAIMS)
     _add_common(verify)
     return parser
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    ns = _parser().parse_args(argv)
-    lambdas = _parse_floats(ns.lambdas, "--lambdas")
-    if lambdas is not None and len(lambdas) != 3:
+    values = vars(_parser().parse_args(argv))
+    for name in ("q", "lambdas"):
+        if name in values:
+            values[name] = _parse_floats(values[name], f"--{name}")
+    if "lambdas" in values and len(values["lambdas"]) != 3:
         raise UsageError("--lambdas needs exactly three comma-separated numbers")
-    # Every field is an attribute of the namespace, except the claim outside `verify`.
-    values = {f.name: getattr(ns, f.name, None) for f in fields(RunConfig)}
-    cfg = RunConfig(**{**values, "q": _parse_floats(ns.q, "--q"), "lambdas": lambdas})
+    cfg = RunConfig(**values)
     _validate_config(cfg)
     return cfg
 

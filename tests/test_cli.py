@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import qchan
+from qchan import cli
 from qchan.cli import RunConfig, main
 from qchan.fileio import save_channel, save_state
 from qchan.channels import kraus_channel
@@ -340,3 +342,24 @@ def test_config_echo_lists_every_field_but_the_output_path(tmp_path):
     assert list(config) == [f.name for f in fields(RunConfig) if f.name != "output_path"]
     assert config["q"] == [0.4, 0.4] and config["lambdas"] == [0.1, 0.2, 0.3]
     assert config["claim"] == "eq3" and config["samples"] == 2
+
+
+COMMANDS = {"channel-info": [], "entropy": [], "min-entropy": [], "capacity": [],
+            "additivity": [], "multiplicativity": [], "verify": ["eq3"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_run_config_supplies_every_default(command):
+    required = COMMANDS[command]
+    want = RunConfig(command=command, claim=required[0] if required else None)
+    assert cli.parse_args([command, *required]) == want
+
+
+def test_no_parser_action_carries_a_default():
+    top = cli._parser()
+    [sub] = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(COMMANDS)
+    for parser in (top, *sub.choices.values()):
+        for action in parser._actions:
+            if action is not sub:
+                assert action.default is argparse.SUPPRESS, (parser.prog, action.dest)
