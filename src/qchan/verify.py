@@ -9,7 +9,9 @@ index order, and the samples are scored as stacks of at most
 batch size.  monotonicity, entropy_increase, theorem.eq13, prop1, prop2 and
 prop3 validate, apply and take entropies of a whole stack with one call per
 operation; eq3, eq5 and gradient_fd score their samples one at a time.  Only
-the worst sample's check record is built.  Tolerance ledger: exact algebraic
+the worst sample's check record is built.  Every Weyl conjugation and
+projection on H (x) K acts on the H factor through ``linalg.apply_left``, so
+no U (x) I_K is ever built.  Tolerance ledger: exact algebraic
 identities 1e-10..1e-12, inequality claims -1e-9 (arithmetic-limited),
 optimizer-backed equalities 1e-5..1e-6 (restart-limited).
 """
