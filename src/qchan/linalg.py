@@ -126,12 +126,13 @@ def apply_left(
         raise UsageError(f"left operator of shape {a.shape} does not act on dimension {dim_left}")
     y = a @ x.reshape(*x.shape[:-2], dim_left, dim_right * dim)
     batch = y.shape[:-2]
-    y = y.reshape(*batch, dim, dim)
     if not conjugate:
-        return y
+        return y.reshape(*batch, dim, dim)
+    if dim_right == 1:  # the reshapes below are identities
+        return y @ dagger(a)
     # The right product as one (dim * dim_right, dim_left) @ a* product.
-    rows = y.reshape(*batch, dim, dim_left, dim_right).swapaxes(-1, -2)
-    z = rows.reshape(*batch, dim * dim_right, dim_left) @ dagger(a)
+    rows = y.reshape(*batch, dim, dim_left, dim_right).swapaxes(-1, -2).reshape(*batch, -1, dim_left)
+    z = rows @ dagger(a)
     return z.reshape(*batch, dim, dim_right, dim_left).swapaxes(-1, -2).reshape(*batch, dim, dim)
 
 

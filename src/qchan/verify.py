@@ -185,7 +185,9 @@ def resolution_residual(
     if not weyl_mod.is_transversal(system, reps, subgroup):
         raise UsageError(f"{transversal!r} representatives do not cut the cosets exactly once")
     averaged = _family_average(subgroup, x.matrix)
-    total = _family_mixture([system.unitary(g) for g in reps], np.ones(len(reps)), averaged)
+    total = np.zeros_like(averaged)
+    for g in reps:
+        total = total + apply_left(system.unitary(g), averaged, system.l, 1, conjugate=True)
     return frobenius(total - np.eye(system.l))
 
 
