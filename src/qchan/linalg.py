@@ -116,20 +116,21 @@ def apply_left(
     ``x`` acts on a dim_left x dim_right space, as in ``partial_trace``, and
     ``a`` on the left factor; a stack of ``a`` broadcasts against a stack of
     ``x``.  The operand is reshaped so that ``a`` meets the left index alone,
-    and ``a (x) I`` is never built.  With dim_right = 1 the result has the bits
-    of ``a @ x`` and ``a @ x @ dagger(a)``.
+    and ``a (x) I`` is never built.  With dim_right = 1 the result is
+    ``a @ x`` or ``a @ x @ dagger(a)``, bit for bit.
     """
     dim = x.shape[-1]
     if dim_left < 1 or dim_right < 1 or dim_left * dim_right != dim:
         raise UsageError(f"dimension {dim} does not factor as {dim_left} x {dim_right}")
     if a.shape[-2:] != (dim_left, dim_left):
         raise UsageError(f"left operator of shape {a.shape} does not act on dimension {dim_left}")
+    if dim_right == 1:  # the reshapes below would be identities
+        y = a @ x
+        return y @ dagger(a) if conjugate else y
     y = a @ x.reshape(*x.shape[:-2], dim_left, dim_right * dim)
     batch = y.shape[:-2]
     if not conjugate:
         return y.reshape(*batch, dim, dim)
-    if dim_right == 1:  # the reshapes below are identities
-        return y @ dagger(a)
     # The right product as one (dim * dim_right, dim_left) @ a* product.
     rows = y.reshape(*batch, dim, dim_left, dim_right).swapaxes(-1, -2).reshape(*batch, -1, dim_left)
     z = rows @ dagger(a)
