@@ -15,7 +15,7 @@ without the floor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -59,52 +59,58 @@ class OptimizationResult:
     gradient_norm_final: float
 
 
+def _check_dim(c: KrausChannel, psi: PureState) -> None:
+    if psi.dim != c.dim:
+        raise UsageError(f"state dimension {psi.dim} != channel dimension {c.dim}")
+
+
 def output_entropy(c: KrausChannel, psi: PureState) -> float:
     """S(c(|psi><psi|)) in nats."""
-    return entropy_of_spectrum(np.linalg.eigvalsh(c.apply_pure(psi)))
+    _check_dim(c, psi)
+    value, _ = _entropy_objective(c)
+    return value(psi.amplitudes)
+
+
+def _spectral_objective(
+    c: KrausChannel,
+    value_of: Callable[[np.ndarray], float],
+    weights_of: Callable[[np.ndarray], np.ndarray],
+    scale: float,
+):
+    """(value, value_and_grad) pair for psi -> value_of(spectrum of c(psi psi*)).
+
+    The Riemannian gradient is scale (I - psi psi*) c_adj(V w V*) psi, with
+    V the output's eigenvectors and w = weights_of(its eigenvalues).
+    """
+
+    def value(amps: np.ndarray) -> float:
+        return value_of(np.linalg.eigvalsh(pure_output(c.ops, amps)))
+
+    def value_and_grad(amps: np.ndarray) -> tuple[float, np.ndarray]:
+        vals, vecs = np.linalg.eigh(pure_output(c.ops, amps))
+        f = value_of(vals)
+        m = c.adjoint_apply((vecs * weights_of(vals)) @ vecs.conj().T)
+        mpsi = m @ amps
+        return f, scale * (mpsi - np.vdot(amps, mpsi).real * amps)
+
+    return value, value_and_grad
 
 
 def _entropy_objective(c: KrausChannel):
-    """(value, value_and_grad) pair for psi -> S(c(psi psi*))."""
-
-    def value(amps: np.ndarray) -> float:
-        rho = pure_output(c.ops, amps)
-        return entropy_of_spectrum(np.linalg.eigvalsh(rho))
-
-    def value_and_grad(amps: np.ndarray) -> tuple[float, np.ndarray]:
-        rho = pure_output(c.ops, amps)
-        vals, vecs = np.linalg.eigh(rho)
-        f = entropy_of_spectrum(vals)
-        log_floored = np.log(np.maximum(vals, GRAD_FLOOR))
-        l_mat = (vecs * (log_floored + 1.0)) @ vecs.conj().T
-        m = c.adjoint_apply(l_mat)
-        mpsi = m @ amps
-        grad = -2.0 * (mpsi - np.vdot(amps, mpsi).real * amps)
-        return f, grad
-
-    return value, value_and_grad
+    """Objectives for psi -> S(c(psi psi*))."""
+    return _spectral_objective(
+        c, entropy_of_spectrum, lambda vals: np.log(np.maximum(vals, GRAD_FLOOR)) + 1.0, -2.0
+    )
 
 
 def _purity_objective(c: KrausChannel, p: float):
     """Objectives for maximizing Tr(c(psi psi*)^p), phrased as minimization of its negative."""
-
-    def value(amps: np.ndarray) -> float:
-        rho = pure_output(c.ops, amps)
-        vals = np.maximum(np.linalg.eigvalsh(rho), 0.0)
-        return -float((vals ** p).sum())
-
-    def value_and_grad(amps: np.ndarray) -> tuple[float, np.ndarray]:
-        rho = pure_output(c.ops, amps)
-        vals, vecs = np.linalg.eigh(rho)
-        vals = np.maximum(vals, 0.0)
-        f = -float((vals ** p).sum())
-        power = (vecs * (vals ** (p - 1.0))) @ vecs.conj().T
-        m = c.adjoint_apply(power)
-        mpsi = m @ amps
-        grad = -2.0 * p * (mpsi - np.vdot(amps, mpsi).real * amps)
-        return f, grad
-
-    return value, value_and_grad
+    return _spectral_objective(
+        c,
+        lambda vals: -float((np.maximum(vals, 0.0) ** p).sum()),
+        lambda vals: np.maximum(vals, 0.0) ** (p - 1.0),
+        -2.0 * p,
+    )
 
 
 def entropy_gradient(c: KrausChannel, psi: PureState) -> np.ndarray:
@@ -113,19 +119,9 @@ def entropy_gradient(c: KrausChannel, psi: PureState) -> np.ndarray:
     Equals -2 (I - psi psi*) c_adj(log c(rho) + I) psi with the output spectrum
     floored at GRAD_FLOOR inside the logarithm.
     """
-    if psi.dim != c.dim:
-        raise UsageError(f"state dimension {psi.dim} != channel dimension {c.dim}")
+    _check_dim(c, psi)
     _, value_and_grad = _entropy_objective(c)
     return value_and_grad(psi.amplitudes)[1]
-
-
-@dataclass(frozen=True)
-class _RestartOutcome:
-    value: float
-    amps: np.ndarray
-    iterations: int
-    converged: bool
-    gradient_norm: float
 
 
 def _descend(
@@ -134,7 +130,7 @@ def _descend(
     start: np.ndarray,
     max_iter: int,
     tol: float,
-) -> _RestartOutcome:
+) -> OptimizationResult:
     amps = start / np.linalg.norm(start)
     f, grad = value_and_grad(amps)
     gnorm = float(np.linalg.norm(grad))
@@ -173,8 +169,9 @@ def _descend(
                 break
         else:
             stalled_steps = 0
-    return _RestartOutcome(
-        value=f, amps=amps, iterations=iterations, converged=gnorm < tol, gradient_norm=gnorm
+    return OptimizationResult(
+        value=f, argmin=PureState(amps), restarts_used=1, iterations=iterations,
+        converged=gnorm < tol, gradient_norm_final=gnorm,
     )
 
 
@@ -192,7 +189,7 @@ def _optimize_on_sphere(
     if restarts < 1:
         raise UsageError(f"restarts must be >= 1, got {restarts}")
 
-    def run(r: int) -> _RestartOutcome:
+    def run(r: int) -> OptimizationResult:
         if r < len(initial_states):
             start = initial_states[r].amplitudes.astype(complex)
         else:
@@ -201,15 +198,7 @@ def _optimize_on_sphere(
 
     outcomes = [run(r) for r in range(restarts)]
     best_index = min(range(restarts), key=lambda r: (outcomes[r].value, r))
-    best = outcomes[best_index]
-    return OptimizationResult(
-        value=best.value,
-        argmin=PureState(best.amps),
-        restarts_used=restarts,
-        iterations=best.iterations,
-        converged=best.converged,
-        gradient_norm_final=best.gradient_norm,
-    )
+    return replace(outcomes[best_index], restarts_used=restarts)
 
 
 def min_output_entropy(
@@ -245,14 +234,7 @@ def max_output_purity(
     res = _optimize_on_sphere(
         value, value_and_grad, c.dim, restarts, max_iter, tol, seed, initial_states, seed_path
     )
-    return OptimizationResult(
-        value=-res.value,
-        argmin=res.argmin,
-        restarts_used=res.restarts_used,
-        iterations=res.iterations,
-        converged=res.converged,
-        gradient_norm_final=res.gradient_norm_final,
-    )
+    return replace(res, value=-res.value)
 
 
 def finite_difference_gradient(

@@ -6,10 +6,9 @@ report order for the theorem, each of those timed on its own.  Sampled claims
 run through ``worst_over``: each sample is drawn from its own substream, in
 index order, and the samples are scored as stacks of at most
 ``STACK_SAMPLES``, so a claim's memory is bounded by that constant, not by its
-batch size.  monotonicity, entropy_increase, theorem.eq13, prop1, prop2 and
-prop3 validate, apply and take entropies of a whole stack with one call per
-operation; eq3, eq5 and gradient_fd score their samples one at a time.  Only
-the worst sample's check record is built.  Every Weyl conjugation and
+batch size.  Every sampled claim validates, applies and takes entropies of a
+whole stack with one call per operation, and only the worst sample's check
+record is built.  Every Weyl conjugation and
 projection on H (x) K acts on the H factor through ``linalg.apply_left``, so
 no U (x) I_K is ever built.  Tolerance ledger: exact algebraic
 identities 1e-10..1e-12, inequality claims -1e-9 (arithmetic-limited),
@@ -42,6 +41,7 @@ from .linalg import apply_left, dagger, frobenius, hermitian_eig, partial_trace
 from .optimize import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    OptimizationResult,
     entropy_gradient,
     gradient_fd_error,
     max_output_purity,
@@ -101,11 +101,6 @@ class Scores(NamedTuple):
     check: Callable[[int], Check]
 
 
-def _each(chunk: list[Check]) -> Scores:
-    """Scores of samples that were drawn as their own check records."""
-    return Scores(np.array([c.margin for c in chunk], dtype=float), chunk.__getitem__)
-
-
 def _scores(
     claim_id: str, lhs, rhs, witness: Callable[[int], dict[str, Any]] | None = None, **fields
 ) -> Scores:
@@ -137,14 +132,13 @@ def _grouped(groups: np.ndarray, score: Callable[[int, np.ndarray], Scores]) -> 
 
 def worst_over(
     samples: int, seed: int, draw: Callable[[np.random.Generator, int], Any], *path: int,
-    score: Callable[[list], Scores] = _each,
+    score: Callable[[list], Scores],
 ) -> Check:
     """The lowest-margin check over the samples ``draw(substream(seed, *path, i), i)``.
 
     Samples are drawn in index order and handed to ``score`` in stacks of at
-    most ``STACK_SAMPLES``; without ``score`` each draw is its own check
-    record.  Only the worst sample's record is built, and the first index wins
-    a tie.  A NaN margin raises ``NumericalError`` naming the claim and the
+    most ``STACK_SAMPLES``.  Only the worst sample's record is built, and the
+    first index wins a tie.  A NaN margin raises ``NumericalError`` naming the claim and the
     first such sample.  The witness gains ``worst_index`` and ``samples``, and
     the record carries the batch seed.
     """
@@ -169,22 +163,20 @@ def worst_over(
 # Resolution-of-identity and intertwining residuals (claims eq3, eq5)
 
 
-def resolution_residual(
-    system: weyl_mod.WeylSystem, x: DensityMatrix, transversal: str = "shift"
-) -> float:
-    """||Sum_k U_{g_k} E(x) U_{g_k}* - I||_F for the chosen transversal.
+def resolution_residual(system: weyl_mod.WeylSystem, x: np.ndarray, transversal: str = "shift"):
+    """||Sum_k U_{g_k} E(x) U_{g_k}* - I||_F for the chosen transversal (stack-aware).
 
     E averages over the subgroup complementary to the transversal (the pairing
     that makes the resolution exact for an irreducible system); the
     representative set is configuration-exposed via ``transversal``.
     """
-    if x.dim != system.l:
-        raise UsageError(f"state dimension {x.dim} != system dimension {system.l}")
+    if x.shape[-1] != system.l:
+        raise UsageError(f"state dimension {x.shape[-1]} != system dimension {system.l}")
     reps = weyl_mod.transversal(system, transversal)
     subgroup = weyl_mod.complementary_subgroup(system, transversal)
     if not weyl_mod.is_transversal(system, reps, subgroup):
         raise UsageError(f"{transversal!r} representatives do not cut the cosets exactly once")
-    averaged = _family_average(subgroup, x.matrix)
+    averaged = _family_average(subgroup, x)
     total = np.zeros_like(averaged)
     for g in reps:
         total = total + apply_left(system.unitary(g), averaged, system.l, 1, conjugate=True)
@@ -196,19 +188,22 @@ def check_eq3(l: int, samples: int = 100, seed: int = 0, transversal: str = "shi
     system = weyl_mod.weyl_system(l)
 
     def draw(rng, i):
-        x = random_density_from(rng, l, int(rng.integers(1, l + 1)))
-        return verdict("eq3", lhs=0.0, rhs=resolution_residual(system, x, transversal),
-                       tolerance=RESIDUAL_TOL, witness={"transversal": transversal})
+        return random_density_from(rng, l, int(rng.integers(1, l + 1))).matrix
 
-    return worst_over(samples, seed, draw)
+    def score(chunk):
+        return _scores("eq3", 0.0, resolution_residual(system, np.array(chunk), transversal),
+                       tolerance=RESIDUAL_TOL, witness=lambda j: {"transversal": transversal})
+
+    return worst_over(samples, seed, draw, score=score)
 
 
-def intertwining_residuals(
-    family: weyl_mod.SubgroupFamily, weights, x: DensityMatrix
-) -> tuple[float, float]:
-    """(||E(Phi(x)) - E(x)||_F, ||Phi(E(x)) - E(x)||_F) for the family mixture Phi."""
-    ex = _family_average(family, x.matrix)
-    phix = _family_mixture(family.unitaries(), weights, x.matrix)
+def intertwining_residuals(family: weyl_mod.SubgroupFamily, weights, x: np.ndarray):
+    """(||E(Phi(x)) - E(x)||_F, ||Phi(E(x)) - E(x)||_F) for the family mixture Phi.
+
+    Stack-aware: a stack of states takes a stack of weight rows.
+    """
+    ex = _family_average(family, x)
+    phix = _family_mixture(family.unitaries(), weights, x)
     r1 = frobenius(_family_average(family, phix) - ex)
     r2 = frobenius(_family_mixture(family.unitaries(), weights, ex) - ex)
     return r1, r2
@@ -219,14 +214,22 @@ def check_eq5(l: int, samples: int = 100, seed: int = 0) -> Check:
     families = weyl_mod.all_order_l_subgroups(weyl_mod.weyl_system(l))
 
     def draw(rng, i):
-        family = families[i % len(families)]
         weights = rng.dirichlet(np.ones(l))
-        x = random_density_from(rng, l, int(rng.integers(1, l + 1)))
-        r1, r2 = intertwining_residuals(family, weights, x)
-        return verdict("eq5", lhs=0.0, rhs=max(r1, r2), tolerance=RESIDUAL_TOL,
-                       witness={"family": family.label, "residual_e_phi": r1, "residual_phi_e": r2})
+        return i % len(families), weights, random_density_from(rng, l, int(rng.integers(1, l + 1))).matrix
 
-    return worst_over(samples, seed, draw)
+    def family_scores(family, weights, x):
+        r1, r2 = intertwining_residuals(family, weights, x)
+        return _scores(
+            "eq5", 0.0, np.maximum(r1, r2), tolerance=RESIDUAL_TOL,
+            witness=lambda j: {"family": family.label, "residual_e_phi": float(r1[j]),
+                               "residual_phi_e": float(r2[j])},
+        )
+
+    def score(chunk):
+        family, weights, x = (np.array(column) for column in zip(*chunk))
+        return _grouped(family, lambda f, rows: family_scores(families[f], weights[rows], x[rows]))
+
+    return worst_over(samples, seed, draw, score=score)
 
 
 def check_eq9(l: int, p: float) -> Check:
@@ -599,6 +602,23 @@ def verify_prop4(l: int, samples: int = 1000, seed: int = 0) -> tuple[Check, Che
 # Additivity / multiplicativity via restarted optimization
 
 
+def _pair_search(
+    a: KrausChannel, b: KrausChannel, search: Callable[..., OptimizationResult],
+    restarts: int, seed: int, max_iter: int, grad_tol: float,
+) -> tuple[OptimizationResult, OptimizationResult, OptimizationResult]:
+    """``search`` on a, on b, and on a (x) b from the product of their optima.
+
+    The first joint restart starts from that product, so the joint optimum is
+    never worse than the product of the single-channel ones.
+    """
+    res_a = search(a, restarts, max_iter, grad_tol, seed, seed_path=(1,))
+    res_b = search(b, restarts, max_iter, grad_tol, seed, seed_path=(2,))
+    product = PureState(np.kron(res_a.argmin.amplitudes, res_b.argmin.amplitudes))
+    res_joint = search(a.tensor(b).reduced(), restarts, max_iter, grad_tol, seed,
+                       initial_states=(product,), seed_path=(3,))
+    return res_a, res_b, res_joint
+
+
 def check_additivity(
     a: KrausChannel,
     b: KrausChannel,
@@ -610,16 +630,11 @@ def check_additivity(
 ) -> AdditivityReport:
     """Compare the joint output-entropy infimum with the sum of the parts.
 
-    The first joint restart starts from the product of the single-channel
-    minimizers, so the reported gap can only exceed -(optimizer tolerance).
+    The joint search starts from the product of the single-channel minimizers
+    (``_pair_search``), so the reported gap can only exceed -(optimizer
+    tolerance).
     """
-    res_a = min_output_entropy(a, restarts, max_iter, grad_tol, seed, seed_path=(1,))
-    res_b = min_output_entropy(b, restarts, max_iter, grad_tol, seed, seed_path=(2,))
-    joint = a.tensor(b).reduced()
-    product = PureState(np.kron(res_a.argmin.amplitudes, res_b.argmin.amplitudes))
-    res_joint = min_output_entropy(
-        joint, restarts, max_iter, grad_tol, seed, initial_states=(product,), seed_path=(3,)
-    )
+    res_a, res_b, res_joint = _pair_search(a, b, min_output_entropy, restarts, seed, max_iter, grad_tol)
     gap = res_joint.value - (res_a.value + res_b.value)
     schmidt = np.linalg.svd(
         res_joint.argmin.amplitudes.reshape(a.dim, b.dim), compute_uv=False
@@ -651,12 +666,9 @@ def check_multiplicativity(
     grad_tol: float = DEFAULT_TOL,
 ) -> MultiplicativityReport:
     """Compare ||a (x) b||_p with ||a||_p ||b||_p via the same restart optimizer."""
-    res_a = max_output_purity(a, p, restarts, max_iter, grad_tol, seed, seed_path=(1,))
-    res_b = max_output_purity(b, p, restarts, max_iter, grad_tol, seed, seed_path=(2,))
-    joint = a.tensor(b).reduced()
-    product = PureState(np.kron(res_a.argmin.amplitudes, res_b.argmin.amplitudes))
-    res_joint = max_output_purity(
-        joint, p, restarts, max_iter, grad_tol, seed, initial_states=(product,), seed_path=(3,)
+    res_a, res_b, res_joint = _pair_search(
+        a, b, lambda c, *args, **kwargs: max_output_purity(c, p, *args, **kwargs),
+        restarts, seed, max_iter, grad_tol,
     )
     norm_a = res_a.value ** (1.0 / p)
     norm_b = res_b.value ** (1.0 / p)
@@ -819,6 +831,9 @@ def gradient_suite(samples: int = 100, seed: int = 0, dims: tuple[int, ...] = (2
             if float(np.linalg.norm(entropy_gradient(c, psi))) > 1e-7:
                 break
             psi = random_pure_from(rng, dim)
-        return verdict("gradient_fd", lhs=-gradient_fd_error(c, psi), rhs=0.0, tolerance=GRADIENT_TOL)
+        return gradient_fd_error(c, psi)
 
-    return worst_over(samples, seed, draw)
+    def score(chunk):
+        return _scores("gradient_fd", -np.array(chunk), 0.0, tolerance=GRADIENT_TOL)
+
+    return worst_over(samples, seed, draw, score=score)

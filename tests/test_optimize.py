@@ -3,13 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from qchan.channels import depolarizing, identity_channel, pauli_qubit, phase_damping, random_channel
+from qchan.channels import (
+    depolarizing,
+    identity_channel,
+    pauli_qubit,
+    phase_damping,
+    pure_output,
+    random_channel,
+)
+from qchan.entropy import entropy_of_spectrum
 from qchan.errors import UsageError
 from qchan.optimize import (
     ARMIJO_C,
     BACKTRACK,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    GRAD_FLOOR,
     MIN_STEP,
     STALL_RTOL,
     STALL_STEPS,
@@ -242,3 +251,98 @@ def test_descent_no_worse_than_fixed_step_reference(spec, seed):
     assert s_min <= fixed_step_best(_entropy_objective(c), c.dim, restarts, seed) + 1e-12
     purity = max_output_purity(c, 2.0, restarts=restarts, seed=seed).value
     assert purity >= -fixed_step_best(_purity_objective(c, 2.0), c.dim, restarts, seed) - 1e-12
+
+
+# Reference: the entropy and purity objectives as two separate bodies, the
+# form the shared spectral objective replaced.
+def ref_entropy_objective(c):
+    def value(amps):
+        rho = pure_output(c.ops, amps)
+        return entropy_of_spectrum(np.linalg.eigvalsh(rho))
+
+    def value_and_grad(amps):
+        rho = pure_output(c.ops, amps)
+        vals, vecs = np.linalg.eigh(rho)
+        f = entropy_of_spectrum(vals)
+        log_floored = np.log(np.maximum(vals, GRAD_FLOOR))
+        l_mat = (vecs * (log_floored + 1.0)) @ vecs.conj().T
+        m = c.adjoint_apply(l_mat)
+        mpsi = m @ amps
+        grad = -2.0 * (mpsi - np.vdot(amps, mpsi).real * amps)
+        return f, grad
+
+    return value, value_and_grad
+
+
+def ref_purity_objective(c, p):
+    def value(amps):
+        rho = pure_output(c.ops, amps)
+        vals = np.maximum(np.linalg.eigvalsh(rho), 0.0)
+        return -float((vals ** p).sum())
+
+    def value_and_grad(amps):
+        rho = pure_output(c.ops, amps)
+        vals, vecs = np.linalg.eigh(rho)
+        vals = np.maximum(vals, 0.0)
+        f = -float((vals ** p).sum())
+        power = (vecs * (vals ** (p - 1.0))) @ vecs.conj().T
+        m = c.adjoint_apply(power)
+        mpsi = m @ amps
+        grad = -2.0 * p * (mpsi - np.vdot(amps, mpsi).real * amps)
+        return f, grad
+
+    return value, value_and_grad
+
+
+def _objective_pairs(dim, seed):
+    """Random channels with 2 and dim Kraus operators, each with a random state."""
+    for m in (2, dim):
+        c = random_channel(dim, m, seed=100 * dim + 10 * m + seed)
+        yield c, random_pure(dim, seed=200 * dim + 10 * m + seed).amplitudes
+
+
+def _assert_same_objective(got, want, amps):
+    value, value_and_grad = got
+    ref_value, ref_value_and_grad = want
+    assert value(amps) == ref_value(amps)
+    f, grad = value_and_grad(amps)
+    ref_f, ref_grad = ref_value_and_grad(amps)
+    assert f == ref_f
+    assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_spectral_objective_equals_the_two_reference_bodies(dim, seed):
+    for c, amps in _objective_pairs(dim, seed):
+        _assert_same_objective(_entropy_objective(c), ref_entropy_objective(c), amps)
+        for p in (1.5, 2.0, 3.0):
+            _assert_same_objective(_purity_objective(c, p), ref_purity_objective(c, p), amps)
+
+
+def central_difference_gradient(value, amps, h=1e-5):
+    """Riemannian gradient of ``value`` on the sphere by central differences.
+
+    Differentiates along an orthonormal real basis of the tangent space at
+    ``amps`` and reassembles the complex vector.
+    """
+    d = len(amps)
+    base = np.concatenate([amps.real, amps.imag])
+    q, _ = np.linalg.qr(np.concatenate([base[:, None], np.eye(2 * d)[:, : 2 * d - 1]], axis=1))
+    grad = np.zeros(2 * d)
+    for w in q[:, 1:].T:
+        v = w[:d] + 1j * w[d:]
+        plus, minus = amps + h * v, amps - h * v
+        grad += w * (value(plus / np.linalg.norm(plus)) - value(minus / np.linalg.norm(minus))) / (2 * h)
+    return grad[:d] + 1j * grad[d:]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_purity_gradient_matches_central_differences(dim, seed, p):
+    for c, amps in _objective_pairs(dim, seed):
+        value, value_and_grad = _purity_objective(c, p)
+        grad = value_and_grad(amps)[1]
+        fd = central_difference_gradient(value, amps)
+        assert np.linalg.norm(grad - fd) <= 1e-7 * max(np.linalg.norm(grad), np.linalg.norm(fd))

@@ -49,7 +49,6 @@ from qchan.verify import (
     verify_theorem,
     worst_over,
 )
-from qchan.reporting import verdict
 
 
 # ----------------------------------------------------------------------- eq3
@@ -57,17 +56,17 @@ from qchan.reporting import verdict
 
 def test_eq3_exact_for_maximally_mixed():
     system = weyl.weyl_system(3)
-    assert resolution_residual(system, maximally_mixed(3)) < 1e-13
+    assert resolution_residual(system, maximally_mixed(3).matrix) < 1e-13
 
 
 @pytest.mark.parametrize("transversal", ["shift", "phase"])
 def test_eq3_random_states(transversal):
     system = weyl.weyl_system(3)
     x = pure_to_density(random_pure(3, seed=1))
-    assert resolution_residual(system, x, transversal) <= 1e-11
+    assert resolution_residual(system, x.matrix, transversal) <= 1e-11
     system5 = weyl.weyl_system(5)
     x5 = random_density(5, 3, seed=2)
-    assert resolution_residual(system5, x5, transversal) <= 1e-11
+    assert resolution_residual(system5, x5.matrix, transversal) <= 1e-11
 
 
 def test_check_eq3_batch():
@@ -83,7 +82,7 @@ def test_eq5_uniform_weights_exact():
     system = weyl.weyl_system(3)
     family = weyl.phase_subgroup(system)
     x = random_density(3, 3, seed=4)
-    r1, r2 = intertwining_residuals(family, [1 / 3] * 3, x)
+    r1, r2 = intertwining_residuals(family, [1 / 3] * 3, x.matrix)
     assert r1 < 1e-13 and r2 < 1e-13
 
 
@@ -93,7 +92,7 @@ def test_eq5_random_weights():
     lam = rng.dirichlet(np.ones(3))
     x = random_density(3, 2, seed=6)
     for family in weyl.all_order_l_subgroups(system):
-        r1, r2 = intertwining_residuals(family, lam, x)
+        r1, r2 = intertwining_residuals(family, lam, x.matrix)
         assert r1 <= 1e-11 and r2 <= 1e-11
 
 
@@ -102,7 +101,7 @@ def test_eq5_fixed_point_input():
     system = weyl.weyl_system(3)
     family = weyl.phase_subgroup(system)
     x = density_from_matrix(np.diag([0.5, 0.3, 0.2]))
-    r1, r2 = intertwining_residuals(family, [0.7, 0.2, 0.1], x)
+    r1, r2 = intertwining_residuals(family, [0.7, 0.2, 0.1], x.matrix)
     assert r1 < 1e-14 and r2 < 1e-14
 
 
@@ -494,8 +493,12 @@ def test_verify_all_cold_and_warm_caches_agree(tmp_path):
 
 def test_worst_over_first_index_wins_a_tie():
     margins = [0.5, -1.0, -1.0, 0.2]
-    worst = worst_over(4, 7, lambda rng, i: verdict("c", lhs=margins[i], rhs=0.0, tolerance=1e-9,
-                                                    witness={"i": i}))
+
+    def score(chunk):
+        return verify_mod._scores("c", [margins[i] for i in chunk], 0.0,
+                                  lambda j: {"i": chunk[j]}, tolerance=1e-9)
+
+    worst = worst_over(4, 7, lambda rng, i: i, score=score)
     assert worst.margin == -1.0 and not worst.passed
     assert worst.witness == {"i": 1, "worst_index": 1, "samples": 4}
     assert worst.seed == 7
@@ -506,9 +509,8 @@ def test_worst_over_draws_each_sample_from_its_own_substream():
 
     def draw(rng, i):
         seen.append(rng.random())
-        return verdict("c", lhs=0.0, rhs=0.0, tolerance=0.0)
 
-    worst_over(3, 5, draw, 100, 2)
+    worst_over(3, 5, draw, 100, 2, score=lambda chunk: verify_mod._scores("c", np.zeros(len(chunk)), 0.0, tolerance=0.0))
     assert seen == [substream(5, 100, 2, i).random() for i in range(3)]
 
 
