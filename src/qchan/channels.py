@@ -320,13 +320,9 @@ class SchurReport:
 def schur_matrix(params: PhaseDampingParams) -> SchurReport:
     """Coefficient matrix C of the damping multiplier; C PSD iff the map is CP."""
     l = params.l
-    c = np.ones((l, l))
-    for s in range(l):
-        for j in range(l):
-            d = abs(s - j)
-            if d == 0:
-                continue
-            c[s, j] = params.q[0] if d == l - 1 else params.q[d - 1]
+    distance = np.abs(np.subtract.outer(np.arange(l), np.arange(l)))
+    distance[distance == l - 1] = 1  # the corners take q_1
+    c = np.array((1.0, *params.q))[distance]
     min_eig = float(np.linalg.eigvalsh(c)[0])
     return SchurReport(matrix=frozen(c), min_eigenvalue=min_eig)
 

@@ -31,9 +31,6 @@ class DensityMatrix:
     dim: int
     note: str | None = None
 
-    def eigenvalues(self) -> np.ndarray:
-        return linalg.hermitian_eig(self.matrix).values
-
 
 @dataclass(frozen=True)
 class PureState:

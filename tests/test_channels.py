@@ -343,6 +343,20 @@ def test_schur_matrix_sign_determines_cp():
     assert abs(report.min_eigenvalue + 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 8])
+def test_schur_matrix_entries_follow_the_distance_rule(l):
+    q = tuple(np.linspace(0.1, 0.9, l - 1))
+    want = np.ones((l, l))
+    for s in range(l):
+        for j in range(l):
+            d = abs(s - j)
+            if d:
+                want[s, j] = q[0] if d == l - 1 else q[d - 1]
+    report = schur_matrix(PhaseDampingParams(l=l, q=q))
+    assert np.array_equal(report.matrix, want)
+    assert report.min_eigenvalue == float(np.linalg.eigvalsh(want)[0])
+
+
 # ---------------------------------------------------------------- pauli qubit
 
 
