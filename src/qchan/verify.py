@@ -442,24 +442,28 @@ def _prop3_scores(
         _, vectors = hermitian_eig(marginal)
         w = dagger(vectors)  # W Tr_K(x) W* is diagonal, approximately I/l
         wx = apply_left(w, x, l, dim_k, conjugate=True)
-        best_entropy = np.full(samples, math.inf)
-        best = np.zeros((samples, 2), dtype=int)
-        trace_dev = np.zeros(samples)
+        labels, entropies, traces = [], [], []
         for k in range(l):
             family = weyl_mod.diagonal_subgroup(system, k)
             resolution = weyl_mod.fixed_point_resolution(family)
             for j, proj in enumerate(resolution.projections):
                 entr, tr = _normalized_entropy(
                     partial_trace(apply_left(proj, wx, l, dim_k), l, dim_k, side="left"))
-                better = entr < best_entropy
-                best_entropy = np.where(better, entr, best_entropy)
-                best[better] = k, j
-                trace_dev = np.where(better, np.abs(tr - 1.0 / l), trace_dev)
+                labels.append((k, j))
+                entropies.append(entr)
+                traces.append(tr)
+        entropies = np.array(entropies)
+        best_entropy = entropies.min(axis=0)
+        # The witness is the first candidate within INEQ_TOL of the minimum, so
+        # candidates that tie up to rounding do not swap with summation order.
+        chosen = np.argmax(entropies <= best_entropy + INEQ_TOL, axis=0)
 
         def witness(i: int) -> dict[str, Any]:
+            k, j = labels[chosen[i]]
             return {
-                "mode": mode, "subgroup": int(best[i, 0]), "projection": int(best[i, 1]),
-                "trace_deviation": float(trace_dev[i]), "marginal_deviation": float(deviation[i]),
+                "mode": mode, "subgroup": k, "projection": j,
+                "trace_deviation": float(abs(traces[chosen[i]][i] - 1.0 / l)),
+                "marginal_deviation": float(deviation[i]),
                 "h_constant": h_const, "state_entropy": float(best_entropy[i]), "p": p,
             }
 

@@ -23,8 +23,9 @@ from qchan.linalg import apply_left, dagger, frobenius, hermitian_eig, partial_t
 from qchan.optimize import entropy_gradient, gradient_fd_error
 from qchan.reporting import verdict
 from qchan.rng import substream
-from qchan.states import random_density_from, random_pure_from
+from qchan.states import density_from_matrix, random_density_from, random_pure_from
 from qchan.verify import (
+    INEQ_TOL,
     MARGINAL_TOL,
     Scores,
     check_eq3,
@@ -34,6 +35,7 @@ from qchan.verify import (
     gradient_suite,
     intertwining_residuals,
     monotonicity_suite,
+    prop3_report,
     random_mixed_marginal_state,
     resolution_residual,
     verify_prop1,
@@ -244,6 +246,33 @@ def test_stacked_eq13_margins_equal_the_per_sample_reference(stacked_margins, l,
     for n, (path, margins) in zip((1, 2), batches):
         xin, phin = xi.tensor_power(n), phi.tensor_power(n)
         assert margins == _reference(5, seed, path, lambda rng, i: ref_eq13(xin, phin, l ** n, rng, i))
+
+
+def ref_prop3_candidates(l, x, dim_k):
+    """(subgroup, projection) labels and entropies of prop3's constructive candidates, in loop order."""
+    w = dagger(hermitian_eig(partial_trace(x, l, dim_k, side="right")).vectors)
+    wx = apply_left(w, x, l, dim_k, conjugate=True)
+    labels, entropies = [], []
+    for k in range(l):
+        resolution = weyl.fixed_point_resolution(weyl.diagonal_subgroup(weyl.weyl_system(l), k))
+        for j, proj in enumerate(resolution.projections):
+            block = partial_trace(apply_left(proj, wx, l, dim_k), l, dim_k, side="left")
+            labels.append((k, j))
+            entropies.append(vn_nats(block / float(np.trace(block).real)))
+    return labels, entropies
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_prop3_witness_is_the_first_candidate_within_tolerance_of_the_minimum(l):
+    omega = np.eye(l).reshape(-1) / math.sqrt(l)  # every candidate ties at entropy 0
+    states = [density_from_matrix(np.outer(omega, omega))]
+    states += [random_mixed_marginal_state(substream(s), l, l) for s in range(10)]
+    for x in states:
+        labels, entropies = ref_prop3_candidates(l, x.matrix, l)
+        first = next(i for i, e in enumerate(entropies) if e <= min(entropies) + INEQ_TOL)
+        check = prop3_report(l, 0.3, x, l)
+        assert (check.witness["subgroup"], check.witness["projection"]) == labels[first]
+        assert check.witness["state_entropy"] == min(entropies)
 
 
 # ------------------------------------------------------------ the driver
