@@ -8,11 +8,11 @@ index order, and the samples are scored as stacks of at most
 ``STACK_SAMPLES``, so a claim's memory is bounded by that constant, not by its
 batch size.  Every sampled claim validates, applies and takes entropies of a
 whole stack with one call per operation, and only the worst sample's check
-record is built.  Every Weyl conjugation and
-projection on H (x) K acts on the H factor through ``linalg.apply_left``, so
-no U (x) I_K is ever built.  Tolerance ledger: exact algebraic
-identities 1e-10..1e-12, inequality claims -1e-9 (arithmetic-limited),
-optimizer-backed equalities 1e-5..1e-6 (restart-limited).
+record is built.  Every Weyl conjugation and projection on H (x) K acts on
+the H factor through ``linalg.apply_left``, so no U (x) I_K is ever built.
+Tolerance ledger: exact algebraic identities 1e-10..1e-12, inequality claims
+-1e-9 (arithmetic-limited), optimizer-backed equalities 1e-5..1e-6
+(restart-limited).
 """
 from __future__ import annotations
 
@@ -138,9 +138,9 @@ def worst_over(
 
     Samples are drawn in index order and handed to ``score`` in stacks of at
     most ``STACK_SAMPLES``.  Only the worst sample's record is built, and the
-    first index wins a tie.  A NaN margin raises ``NumericalError`` naming the claim and the
-    first such sample.  The witness gains ``worst_index`` and ``samples``, and
-    the record carries the batch seed.
+    first index wins a tie.  A NaN margin raises ``NumericalError`` naming the
+    claim and the first such sample.  The witness gains ``worst_index`` and
+    ``samples``, and the record carries the batch seed.
     """
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
