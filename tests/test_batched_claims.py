@@ -127,24 +127,29 @@ def ref_prop2(l, dim_k, rng, i):
     return vn_nats(phix) - (entropy_of_spectrum(lam) + middle - math.log(l))
 
 
+def ref_prop3_candidates(l, x, dim_k):
+    """(subgroup, projection) labels and entropies of prop3's constructive candidates, in loop order."""
+    w = dagger(hermitian_eig(partial_trace(x, l, dim_k, side="right")).vectors)
+    wx = apply_left(w, x, l, dim_k, conjugate=True)
+    labels, entropies = [], []
+    for k in range(l):
+        resolution = weyl.fixed_point_resolution(weyl.diagonal_subgroup(weyl.weyl_system(l), k))
+        for j, proj in enumerate(resolution.projections):
+            block = partial_trace(apply_left(proj, wx, l, dim_k), l, dim_k, side="left")
+            labels.append((k, j))
+            entropies.append(vn_nats(block / float(np.trace(block).real)))
+    return labels, entropies
+
+
 def ref_prop3(l, p, dim_k, mode, search_count, seed, rng, i):
     x = random_mixed_marginal_state(rng, l, dim_k).matrix
     lifted = depolarizing(l, p).tensor(identity_channel(dim_k))
-    system = weyl.weyl_system(l)
     marginal = partial_trace(x, l, dim_k, side="right")
     lhs = vn_nats(lifted.apply_matrix(x))
     h_const = depolarizing_entropy_constant(l, p)
     if mode == "constructive":
         assert frobenius(marginal - np.eye(l) / l) <= MARGINAL_TOL
-        w = dagger(hermitian_eig(marginal).vectors)
-        wx = apply_left(w, x, l, dim_k, conjugate=True)
-        best = math.inf
-        for k in range(l):
-            resolution = weyl.fixed_point_resolution(weyl.diagonal_subgroup(system, k))
-            for proj in resolution.projections:
-                block = partial_trace(apply_left(proj, wx, l, dim_k), l, dim_k, side="left")
-                best = min(best, vn_nats(block / float(np.trace(block).real)))
-        return lhs - (h_const + best)
+        return lhs - (h_const + min(ref_prop3_candidates(l, x, dim_k)[1]))
     search = substream(seed, 999)
     m_vecs = hermitian_eig(marginal).vectors
     candidates = [m_vecs[:, i] for i in range(l)]
@@ -246,20 +251,6 @@ def test_stacked_eq13_margins_equal_the_per_sample_reference(stacked_margins, l,
     for n, (path, margins) in zip((1, 2), batches):
         xin, phin = xi.tensor_power(n), phi.tensor_power(n)
         assert margins == _reference(5, seed, path, lambda rng, i: ref_eq13(xin, phin, l ** n, rng, i))
-
-
-def ref_prop3_candidates(l, x, dim_k):
-    """(subgroup, projection) labels and entropies of prop3's constructive candidates, in loop order."""
-    w = dagger(hermitian_eig(partial_trace(x, l, dim_k, side="right")).vectors)
-    wx = apply_left(w, x, l, dim_k, conjugate=True)
-    labels, entropies = [], []
-    for k in range(l):
-        resolution = weyl.fixed_point_resolution(weyl.diagonal_subgroup(weyl.weyl_system(l), k))
-        for j, proj in enumerate(resolution.projections):
-            block = partial_trace(apply_left(proj, wx, l, dim_k), l, dim_k, side="left")
-            labels.append((k, j))
-            entropies.append(vn_nats(block / float(np.trace(block).real)))
-    return labels, entropies
 
 
 @pytest.mark.parametrize("l", [2, 3])
