@@ -34,12 +34,7 @@ from .channels import (
     structural_checks,
 )
 from .entropy import (
-    CapacityBound,
-    EntropyValue,
-    c1_upper_bound,
-    covariant_c1,
     holevo_chi,
-    output_p_norm_value,
     relative_entropy,
     subnormalized_entropy,
     von_neumann,
@@ -59,7 +54,6 @@ from .linalg import (
     hermitian_eig,
     matrix_function_hermitian,
     partial_trace,
-    tensor_product,
 )
 from .optimize import (
     OptimizationResult,

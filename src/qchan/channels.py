@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    DIM_CAP,
     SIMPLEX_TOL,
     as_complex_matrix,
     dagger,
@@ -42,6 +41,8 @@ UNITARY_TOL = 1e-10
 CP_EIG_TOL = 1e-10
 # Channels whose Choi matrices are closer than this are considered equal.
 CHOI_EQ_TOL = 1e-11
+# Largest composite dimension a tensor product channel may have; read at call time.
+DIM_CAP = 4096
 
 
 # Sums over the Kraus index k run on the stack of shape (m, d, d) reshaped to a
@@ -134,20 +135,20 @@ class KrausChannel:
         prod = self.ops[:, None] @ other.ops[None, :]
         return kraus_channel(prod.reshape(-1, self.dim, self.dim))
 
-    def tensor(self, other: KrausChannel, dim_cap: int = DIM_CAP) -> KrausChannel:
-        """Tensor product channel: Kraus set {A_i (x) B_j}."""
+    def tensor(self, other: KrausChannel) -> KrausChannel:
+        """Tensor product channel: Kraus set {A_i (x) B_j}; refused above DIM_CAP."""
         composite = self.dim * other.dim
-        if composite > dim_cap:
-            raise CapacityError(f"composite dimension {composite} exceeds cap {dim_cap}")
+        if composite > DIM_CAP:
+            raise CapacityError(f"composite dimension {composite} exceeds cap {DIM_CAP}")
         # Axes (i, j, row_a, row_b, col_a, col_b): entry A_i[r_a, c_a] B_j[r_b, c_b]
         # is np.kron(A_i, B_j)[r_a * db + r_b, c_a * db + c_b].
         outer = self.ops[:, None, :, None, :, None] * other.ops[None, :, None, :, None, :]
         return kraus_channel(outer.reshape(-1, composite, composite))
 
-    def tensor_power(self, n: int, dim_cap: int = DIM_CAP) -> KrausChannel:
+    def tensor_power(self, n: int) -> KrausChannel:
         out = self
         for _ in range(n - 1):
-            out = out.tensor(self, dim_cap=dim_cap)
+            out = out.tensor(self)
         return out
 
     def reduced(self) -> KrausChannel:
@@ -482,7 +483,6 @@ class Eq9Decomposition:
     c0: float
     c1: float
     lam: tuple[float, ...]
-    subgroup_channels: tuple[KrausChannel, ...]
     reconstruction: KrausChannel
     choi_distance_to_depolarizing: float
 
@@ -520,12 +520,10 @@ def eq9_decomposition(l: int, p: float) -> Eq9Decomposition:
     lam = (lam0,) + ((p / l),) * (l - 1)
     c0 = (1.0 / l) * (1.0 - (l * l - 1) * p / (l * l)) / lam0
     c1 = (1.0 / l) * (p / (l * l)) / lam0
-    subgroup_channels = []
     ops = []
     for k in range(l):
         family = weyl_mod.diagonal_subgroup(system, k)
         members = [system.unitary(g) for g in family.elements]
-        subgroup_channels.append(mixture_of_unitaries(lam, members))
         for s, u in zip(lam, members):
             w = c0 * s
             if w > 0.0:
@@ -544,7 +542,6 @@ def eq9_decomposition(l: int, p: float) -> Eq9Decomposition:
         c0=c0,
         c1=c1,
         lam=lam,
-        subgroup_channels=tuple(subgroup_channels),
         reconstruction=reconstruction,
         choi_distance_to_depolarizing=dist,
     )
@@ -572,34 +569,28 @@ class Eq12Report:
 
 
 def eq12_representation(params: PhaseDampingParams) -> Eq12Report:
-    """Evaluate the difference-projection map on all matrix units and report residuals."""
+    """Residuals of the difference-projection map against the damping map, entry by entry.
+
+    Each D_rj = diag(d) is diagonal, so D x D = (d d^T) o x and the represented
+    map is the Schur multiplier q_bar + Sum coeff * d d^T.  Entry (a, b) of its
+    residual is |multiplier[a, b] - C[a, b]|, the distance between the two maps
+    on the matrix unit |e_a><e_b|.  The terms are summed in the order of the
+    map's definition: s outer, r inner, then the corner term.
+    """
     l = params.l
     q = params.q
     q_bar = (1.0 + sum(q[: l - 2])) / (l - 1)
 
-    def diff_proj(r: int, j: int) -> np.ndarray:
-        d = np.zeros((l, l), dtype=complex)
-        d[r, r] = 1.0
-        d[j, j] = -1.0
+    def diff(r: int, j: int) -> np.ndarray:
+        d = np.zeros(l)
+        d[r], d[j] = 1.0, -1.0
         return d
 
-    terms = []
-    for s in range(1, l - 1):
-        for r in range(l):
-            j = r + s
-            if j < l:
-                terms.append((q_bar - q[s - 1], diff_proj(r, j)))
-    terms.append((q_bar - q[0], diff_proj(0, l - 1)))
-
-    damping_coeff = schur_matrix(params).matrix
-    entry = np.zeros((l, l))
-    for a in range(l):
-        for b in range(l):
-            unit = np.zeros((l, l), dtype=complex)
-            unit[a, b] = 1.0
-            out = q_bar * unit
-            for coeff, d in terms:
-                out = out + coeff * (d @ unit @ d)
-            entry[a, b] = frobenius(out - damping_coeff[a, b] * unit)
+    terms = [(q_bar - q[s - 1], diff(r, r + s)) for s in range(1, l - 1) for r in range(l - s)]
+    terms.append((q_bar - q[0], diff(0, l - 1)))
+    multiplier = np.full((l, l), q_bar)
+    for coeff, d in terms:
+        multiplier = multiplier + coeff * np.outer(d, d)
+    entry = np.abs(multiplier - schur_matrix(params).matrix)
     residual = float(np.sqrt((entry ** 2).sum()))
     return Eq12Report(l=l, q_bar=q_bar, reconstruction_residual=residual, entry_residuals=frozen(entry))

@@ -1,54 +1,25 @@
-"""Entropy functionals and one-shot capacity quantities.
+"""Entropy functionals.
 
-All internal computation is in nats; the ``base`` argument ("e" or "2")
-converts at the reporting boundary.  Inequality and additivity claims are
-base-invariant, so the choice only affects units.  The ``*_nats`` functions,
-``entropy_of_spectrum`` and ``subnormalized_entropy`` are stack-aware (see
-:mod:`qchan.linalg`): given a stack they return one value per matrix, given one
-matrix a float.
+Every value is a float in nats.  The inequality and additivity claims read the
+same in any log base, so bits exist only in the report: ``--log-base 2``
+converts there (``reporting.Check.as_dict``) and nowhere else.  The ``*_nats``
+functions, ``entropy_of_spectrum`` and ``subnormalized_entropy`` are
+stack-aware (see :mod:`qchan.linalg`): given a stack they return one value per
+matrix, given one matrix a float.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import KrausChannel
 from .errors import UsageError, ValidationError
-from .linalg import EIG_CLAMP_TOL, clamp_spectrum, dagger, first_index, hermitian_eig, stack_suffix
-from .states import DensityMatrix, PureState, StateEnsemble
+from .linalg import TRACE_TOL, clamp_spectrum, dagger, first_index, hermitian_eig, stack_suffix
+from .states import DensityMatrix, StateEnsemble
 
 #: Eigenvalues of the second argument below this bound count as its kernel.
 KERNEL_TOL = 1e-10
-
-_LOG_BASES = ("e", "2")
-
-
-def _check_base(base: str) -> None:
-    if base not in _LOG_BASES:
-        raise UsageError(f"log base must be one of {_LOG_BASES}, got {base!r}")
-
-
-def _convert(nats: float, base: str) -> float:
-    _check_base(base)
-    return nats if base == "e" else nats / math.log(2.0)
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """An entropy with its logarithm base ("e" for nats, "2" for bits)."""
-
-    value: float
-    log_base: str = "e"
-
-    def in_base(self, base: str) -> "EntropyValue":
-        _check_base(base)
-        if base == self.log_base:
-            return self
-        factor = math.log(2.0)
-        value = self.value / factor if base == "2" else self.value * factor
-        return EntropyValue(value=value, log_base=base)
 
 
 def _all(keep: np.ndarray) -> bool:
@@ -99,16 +70,16 @@ def vn_nats(matrix: np.ndarray):
     return entropy_of_spectrum(hermitian_eig(matrix).values)
 
 
-def von_neumann(rho: DensityMatrix, base: str = "e") -> EntropyValue:
+def von_neumann(rho: DensityMatrix) -> float:
     """S(rho) = -Tr rho log rho."""
-    return EntropyValue(value=_convert(vn_nats(rho.matrix), base), log_base=base)
+    return vn_nats(rho.matrix)
 
 
-def subnormalized_entropy(y: np.ndarray, trace_tol: float = 1e-10):
+def subnormalized_entropy(y: np.ndarray):
     """-Tr(y log y) in nats for PSD y with Tr(y) <= 1, same clamping convention (stack-aware)."""
     values = clamp_spectrum(hermitian_eig(y).values)
     total = values.sum(axis=-1)
-    over = total > 1.0 + trace_tol
+    over = total > 1.0 + TRACE_TOL
     if np.any(over):
         index = first_index(np.asarray(over))
         raise ValidationError(
@@ -139,51 +110,17 @@ def relative_entropy_nats(rho: np.ndarray, sigma: np.ndarray):
     return _unbatched(np.where(off_support, math.inf, plogp - plogs))
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, base: str = "e") -> EntropyValue:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Relative entropy between two states; infinite when supports are incompatible."""
     if rho.dim != sigma.dim:
         raise UsageError(f"states have different dimensions {rho.dim}, {sigma.dim}")
-    nats = relative_entropy_nats(rho.matrix, sigma.matrix)
-    value = math.inf if math.isinf(nats) else _convert(nats, base)
-    _check_base(base)
-    return EntropyValue(value=value, log_base=base)
+    return relative_entropy_nats(rho.matrix, sigma.matrix)
 
 
-def holevo_chi(c: KrausChannel, ensemble: StateEnsemble, base: str = "e") -> float:
+def holevo_chi(c: KrausChannel, ensemble: StateEnsemble) -> float:
     """S(Sum pi_j c(x_j)) - Sum pi_j S(c(x_j)) for the given ensemble."""
     if ensemble.dim != c.dim:
         raise UsageError(f"ensemble dimension {ensemble.dim} != channel dimension {c.dim}")
     outputs = [c.apply_matrix(s.matrix) for s in ensemble.states]
     average = sum(p * out for p, out in zip(ensemble.probabilities, outputs))
-    chi = vn_nats(average) - sum(p * vn_nats(out) for p, out in zip(ensemble.probabilities, outputs))
-    return _convert(chi, base)
-
-
-@dataclass(frozen=True)
-class CapacityBound:
-    """One-shot capacity figure log(dim) - s_min, tagged equality or upper bound."""
-
-    value: float
-    log_base: str
-    equality: bool
-
-
-def c1_upper_bound(c: KrausChannel, s_min: float, base: str = "e") -> CapacityBound:
-    """Upper bound log(dim) - s_min; ``s_min`` is given in the same base."""
-    _check_base(base)
-    log_dim = _convert(math.log(c.dim), base)
-    return CapacityBound(value=log_dim - s_min, log_base=base, equality=False)
-
-
-def covariant_c1(c: KrausChannel, s_min: float, base: str = "e") -> CapacityBound:
-    """log(dim) - s_min as an equality; the caller asserts channel covariance."""
-    bound = c1_upper_bound(c, s_min, base)
-    return CapacityBound(value=bound.value, log_base=base, equality=True)
-
-
-def output_p_norm_value(c: KrausChannel, psi: PureState, p: float) -> float:
-    """Tr(c(|psi><psi|)^p), the inner objective of the output p-norm."""
-    if p <= 1.0:
-        raise UsageError(f"norm index must satisfy p > 1, got {p}")
-    values = clamp_spectrum(hermitian_eig(c.apply_pure(psi)).values, EIG_CLAMP_TOL)
-    return float((values ** p).sum())
+    return vn_nats(average) - sum(p * vn_nats(out) for p, out in zip(ensemble.probabilities, outputs))

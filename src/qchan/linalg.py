@@ -20,7 +20,7 @@ from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, NotPositiveError, NumericalError, UsageError, ValidationError
+from .errors import NotPositiveError, NumericalError, UsageError, ValidationError
 
 FROB_TOL_SCALE = 1e-12
 HERMITICITY_RTOL = 1e-10
@@ -28,7 +28,6 @@ EIG_CLAMP_TOL = 1e-10
 TRACE_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12
 SIMPLEX_TOL = 1e-12
-DIM_CAP = 4096
 
 
 def as_complex_matrix(a: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -80,16 +79,6 @@ def frozen(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it (values are immutable after construction)."""
     a.setflags(write=False)
     return a
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray, dim_cap: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product; composite index (i_a, i_b) -> i_a * dim_b + i_b."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    composite = a.shape[0] * b.shape[0]
-    if composite > dim_cap:
-        raise CapacityError(f"composite dimension {composite} exceeds cap {dim_cap}")
-    return np.kron(a, b)
 
 
 def partial_trace(
@@ -144,40 +133,40 @@ class HermitianEigen(NamedTuple):
     vectors: np.ndarray
 
 
-def _hermitian_part(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """(a + a*)/2 after checking that ``a`` is Hermitian within ``rtol`` (stack-aware).
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a*)/2 after checking that ``a`` is Hermitian within HERMITICITY_RTOL (stack-aware).
 
     A stack is refused for its first matrix that fails the check.
     """
     a = as_complex_matrix(a, stack=True)
     adjoint = dagger(a)
     skew = frobenius(a - adjoint)
-    failed = np.asarray(skew > rtol * np.maximum(frobenius(a), 1e-300))
+    failed = np.asarray(skew > HERMITICITY_RTOL * np.maximum(frobenius(a), 1e-300))
     if failed.any():
         index = first_index(failed)
         raise ValidationError(
             f"matrix is not Hermitian within tolerance{stack_suffix(index)}: ||a - a*||_F = "
-            f"{float(np.asarray(skew)[index]):.3e} > {rtol:.1e} * ||a||_F"
+            f"{float(np.asarray(skew)[index]):.3e} > {HERMITICITY_RTOL:.1e} * ||a||_F"
         )
     return (a + adjoint) / 2
 
 
-def hermitian_eig(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> HermitianEigen:
-    """Eigendecomposition of ``a`` after checking Hermiticity within ``rtol`` (stack-aware).
+def hermitian_eig(a: np.ndarray) -> HermitianEigen:
+    """Eigendecomposition of ``a`` after checking Hermiticity within HERMITICITY_RTOL (stack-aware).
 
     The input is symmetrized as (a + a*)/2 before decomposition.
     """
     try:
-        values, vectors = np.linalg.eigh(_hermitian_part(a, rtol))
+        values, vectors = np.linalg.eigh(_hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     return HermitianEigen(values, vectors)
 
 
-def hermitian_eigvals(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``a`` alone, after the same check as ``hermitian_eig``."""
     try:
-        return np.linalg.eigvalsh(_hermitian_part(a, rtol))
+        return np.linalg.eigvalsh(_hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solve failed to converge: {exc}") from exc
 
@@ -202,19 +191,19 @@ def matrix_function_hermitian(a: np.ndarray, f: Callable[[np.ndarray], np.ndarra
     return (vectors * fv) @ dagger(vectors)
 
 
-def clamp_spectrum(values: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:
-    """Clamp eigenvalues in [-tol, 0) to zero; genuinely negative ones are an error.
+def clamp_spectrum(values: np.ndarray) -> np.ndarray:
+    """Clamp eigenvalues in [-EIG_CLAMP_TOL, 0) to zero; genuinely negative ones are an error.
 
     Stack-aware over the last axis: a stack of spectra is refused for its
-    first spectrum with an eigenvalue below -tol.
+    first spectrum with an eigenvalue below -EIG_CLAMP_TOL.
     """
     values = np.asarray(values, dtype=float)
-    if values.size and values.min() < -tol:
+    if values.size and values.min() < -EIG_CLAMP_TOL:
         lowest = values.min(axis=-1)
-        index = first_index(lowest < -tol)
+        index = first_index(lowest < -EIG_CLAMP_TOL)
         worst = float(lowest[index])
         raise NotPositiveError(
-            f"matrix has a negative eigenvalue {worst:.6e} beyond tolerance {-tol:.1e}{stack_suffix(index)}",
+            f"matrix has a negative eigenvalue {worst:.6e} beyond tolerance {-EIG_CLAMP_TOL:.1e}{stack_suffix(index)}",
             worst,
         )
     return np.maximum(values, 0.0)

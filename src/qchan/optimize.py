@@ -45,6 +45,8 @@ STALL_RTOL = 1e-14
 DEFAULT_RESTARTS = 20
 DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-9
+# Step of the central differences that check the analytic gradient.
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -237,9 +239,7 @@ def max_output_purity(
     return replace(res, value=-res.value)
 
 
-def finite_difference_gradient(
-    c: KrausChannel, psi: PureState, h: float = 1e-5
-) -> np.ndarray:
+def finite_difference_gradient(c: KrausChannel, psi: PureState) -> np.ndarray:
     """Central-difference estimate of the Riemannian entropy gradient.
 
     Differentiates along an orthonormal real basis of the sphere's tangent
@@ -255,16 +255,16 @@ def finite_difference_gradient(
     for i in range(tangent.shape[1]):
         w = tangent[:, i]
         v = w[:d] + 1j * w[d:]
-        plus = psi.amplitudes + h * v
-        minus = psi.amplitudes - h * v
-        fd = (value(plus / np.linalg.norm(plus)) - value(minus / np.linalg.norm(minus))) / (2 * h)
+        plus = psi.amplitudes + FD_STEP * v
+        minus = psi.amplitudes - FD_STEP * v
+        fd = (value(plus / np.linalg.norm(plus)) - value(minus / np.linalg.norm(minus))) / (2 * FD_STEP)
         grad_real += fd * w
     return grad_real[:d] + 1j * grad_real[d:]
 
 
-def gradient_fd_error(c: KrausChannel, psi: PureState, h: float = 1e-5) -> float:
+def gradient_fd_error(c: KrausChannel, psi: PureState) -> float:
     """Relative disagreement between the analytic and finite-difference gradients."""
     g = entropy_gradient(c, psi)
-    g_fd = finite_difference_gradient(c, psi, h)
+    g_fd = finite_difference_gradient(c, psi)
     denom = max(float(np.linalg.norm(g)), float(np.linalg.norm(g_fd)), 1e-300)
     return float(np.linalg.norm(g - g_fd)) / denom

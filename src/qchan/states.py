@@ -90,7 +90,7 @@ def density_from_matrix(m: np.ndarray) -> DensityMatrix:
     """
     m = linalg.as_complex_matrix(m, stack=True)
     values, vectors = linalg.hermitian_eig(m)
-    clamped = linalg.clamp_spectrum(values, EIG_CLAMP_TOL)
+    clamped = linalg.clamp_spectrum(values)
     trace = values.sum(axis=-1)
     off = np.abs(trace - 1.0) > TRACE_TOL
     if off.any():

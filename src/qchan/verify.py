@@ -72,6 +72,11 @@ GRADIENT_TOL = 1e-5
 MARGINAL_TOL = 1e-8
 PROP4_TOL = 1e-10
 
+#: Dimensions of the random channels whose gradients ``gradient_suite`` checks, in turn.
+GRADIENT_DIMS = (2, 3, 4)
+#: Most locally rotated maximally entangled states a prop3 sample mixes.
+MARGINAL_MAX_TERMS = 3
+
 #: Most samples a sampled claim scores as one stack.  At l = 5 the largest
 #: array of a full prop3 stack, the lifted channel's (64, 625, 25) product, is
 #: 16 MB.
@@ -503,9 +508,7 @@ def _prop3_scores(
     raise UsageError(f"mode must be 'constructive' or 'search', got {mode!r}")
 
 
-def random_mixed_marginal_matrix(
-    rng: np.random.Generator, l: int, dim_k: int, max_terms: int = 3
-) -> np.ndarray:
+def random_mixed_marginal_matrix(rng: np.random.Generator, l: int, dim_k: int) -> np.ndarray:
     """Random state on H (x) K whose H marginal is exactly maximally mixed, unvalidated.
 
     Mixture of locally rotated maximally entangled states; needs dim_k >= l.
@@ -515,7 +518,7 @@ def random_mixed_marginal_matrix(
     omega = np.zeros((l * dim_k,), dtype=complex)
     for i in range(l):
         omega[i * dim_k + i] = 1.0 / math.sqrt(l)
-    terms = int(rng.integers(1, max_terms + 1))
+    terms = int(rng.integers(1, MARGINAL_MAX_TERMS + 1))
     weights = rng.dirichlet(np.ones(terms))
     x = np.zeros((l * dim_k, l * dim_k), dtype=complex)
     for w in weights:
@@ -525,9 +528,9 @@ def random_mixed_marginal_matrix(
     return x
 
 
-def random_mixed_marginal_state(rng: np.random.Generator, l: int, dim_k: int, max_terms: int = 3) -> DensityMatrix:
+def random_mixed_marginal_state(rng: np.random.Generator, l: int, dim_k: int) -> DensityMatrix:
     """The validated state of ``random_mixed_marginal_matrix``."""
-    return density_from_matrix(random_mixed_marginal_matrix(rng, l, dim_k, max_terms))
+    return density_from_matrix(random_mixed_marginal_matrix(rng, l, dim_k))
 
 
 def verify_prop3(
@@ -628,7 +631,6 @@ def check_additivity(
     b: KrausChannel,
     restarts: int = 40,
     seed: int = 0,
-    tolerance: float = ADDITIVITY_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     grad_tol: float = DEFAULT_TOL,
 ) -> AdditivityReport:
@@ -651,8 +653,8 @@ def check_additivity(
         schmidt_coefficients=tuple(float(s) for s in schmidt),
         restarts=restarts,
         seed=seed,
-        tolerance=tolerance,
-        passed=abs(gap) <= tolerance,
+        tolerance=ADDITIVITY_TOL,
+        passed=abs(gap) <= ADDITIVITY_TOL,
         converged_a=res_a.converged,
         converged_b=res_b.converged,
         converged_joint=res_joint.converged,
@@ -665,7 +667,6 @@ def check_multiplicativity(
     p: float,
     restarts: int = 40,
     seed: int = 0,
-    tolerance: float = MULTIPLICATIVITY_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     grad_tol: float = DEFAULT_TOL,
 ) -> MultiplicativityReport:
@@ -686,8 +687,8 @@ def check_multiplicativity(
         deviation=deviation,
         restarts=restarts,
         seed=seed,
-        tolerance=tolerance,
-        passed=abs(deviation) <= tolerance,
+        tolerance=MULTIPLICATIVITY_TOL,
+        passed=abs(deviation) <= MULTIPLICATIVITY_TOL,
     )
 
 
@@ -807,8 +808,7 @@ def verify_theorem(
 
     def additivity() -> Check:
         return check_additivity(
-            xi, xi, restarts=restarts, seed=seed, tolerance=ADDITIVITY_TOL,
-            max_iter=max_iter, grad_tol=grad_tol,
+            xi, xi, restarts=restarts, seed=seed, max_iter=max_iter, grad_tol=grad_tol,
         ).to_check("theorem.additivity")
 
     return (timed(basis_projection), timed(s_min_equality), timed(lambda: eq13(1)),
@@ -819,7 +819,7 @@ def verify_theorem(
 # Gradient correctness against finite differences
 
 
-def gradient_suite(samples: int = 100, seed: int = 0, dims: tuple[int, ...] = (2, 3, 4)) -> Check:
+def gradient_suite(samples: int = 100, seed: int = 0) -> Check:
     """Max relative disagreement between analytic and finite-difference gradients.
 
     The check's margin is minus the worst relative error.  States whose
@@ -828,7 +828,7 @@ def gradient_suite(samples: int = 100, seed: int = 0, dims: tuple[int, ...] = (2
     """
 
     def draw(rng, i):
-        dim = dims[i % len(dims)]
+        dim = GRADIENT_DIMS[i % len(GRADIENT_DIMS)]
         c = random_channel_from(rng, dim, int(rng.integers(2, 5)))
         psi = random_pure_from(rng, dim)
         for _ in range(10):

@@ -208,7 +208,7 @@ def test_criterion_8_monotonicity_and_entropy_increase():
 
 
 def test_criterion_9_gradient_correctness():
-    rep = gradient_suite(samples=100, seed=0, dims=(2, 3, 4))
+    rep = gradient_suite(samples=100, seed=0)
     _verdict(
         "criterion 9", rep.passed,
         f"100 random (channel, state) draws over dims 2-4, max relative "

@@ -24,7 +24,8 @@ from qchan.channels import (
     structural_checks,
 )
 from qchan.entropy import vn_nats
-from qchan.linalg import hermitian_eigvals
+from qchan.linalg import frobenius, hermitian_eigvals
+from qchan.rng import substream
 from qchan.errors import (
     CapacityError,
     NotCompletelyPositiveError,
@@ -134,9 +135,18 @@ def test_tensor_of_depolarizing_is_unital():
     assert checks.unital and checks.trace_preserving
 
 
-def test_tensor_capacity_error():
-    with pytest.raises(CapacityError):
-        identity_channel(3).tensor(identity_channel(3), dim_cap=8)
+def test_tensor_capacity_error(monkeypatch):
+    monkeypatch.setattr(channels_mod, "DIM_CAP", 8)
+    with pytest.raises(CapacityError, match="exceeds cap 8"):
+        identity_channel(3).tensor(identity_channel(3))
+    assert identity_channel(2).tensor(identity_channel(4)).dim == 8
+
+
+def test_tensor_power_capacity_error(monkeypatch):
+    monkeypatch.setattr(channels_mod, "DIM_CAP", 8)
+    assert identity_channel(2).tensor_power(3).dim == 8
+    with pytest.raises(CapacityError, match="composite dimension 16"):
+        identity_channel(2).tensor_power(4)
 
 
 def test_compose_tensor_exchange():
@@ -506,12 +516,53 @@ def test_eq9_reconstruction(l, p):
     dec = eq9_decomposition(l, p)
     assert dec.choi_distance_to_depolarizing <= 1e-10
     assert abs(dec.c0 + (l - 1) * dec.c1 - 1.0 / l) <= 1e-12
-    assert len(dec.subgroup_channels) == l
 
 
 def test_eq9_composite_rejected():
     with pytest.raises(UsageError, match="prime"):
         eq9_decomposition(4, 0.5)
+
+
+def eq12_matrix_unit_reference(params):
+    """The difference-projection map applied to each matrix unit, one term at a time."""
+    l, q = params.l, params.q
+    q_bar = (1.0 + sum(q[: l - 2])) / (l - 1)
+
+    def diff_proj(r, j):
+        d = np.zeros((l, l), dtype=complex)
+        d[r, r] = 1.0
+        d[j, j] = -1.0
+        return d
+
+    terms = []
+    for s in range(1, l - 1):
+        for r in range(l):
+            j = r + s
+            if j < l:
+                terms.append((q_bar - q[s - 1], diff_proj(r, j)))
+    terms.append((q_bar - q[0], diff_proj(0, l - 1)))
+    damping_coeff = schur_matrix(params).matrix
+    entry = np.zeros((l, l))
+    for a in range(l):
+        for b in range(l):
+            unit = np.zeros((l, l), dtype=complex)
+            unit[a, b] = 1.0
+            out = q_bar * unit
+            for coeff, d in terms:
+                out = out + coeff * (d @ unit @ d)
+            entry[a, b] = frobenius(out - damping_coeff[a, b] * unit)
+    return float(np.sqrt((entry ** 2).sum())), entry
+
+
+@pytest.mark.parametrize("l", range(2, 10))
+def test_eq12_multiplier_equals_matrix_unit_reference(l):
+    for seed in range(30):
+        q = tuple(substream(seed, l).uniform(size=l - 1))
+        params = PhaseDampingParams(l=l, q=q)
+        report = eq12_representation(params)
+        residual, entry = eq12_matrix_unit_reference(params)
+        assert report.reconstruction_residual == residual
+        assert np.array_equal(report.entry_residuals, entry)
 
 
 def test_eq12_qubit_residual():

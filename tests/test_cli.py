@@ -56,6 +56,15 @@ def test_min_entropy_log_base_two(tmp_path):
     assert bits["checks"][0]["units"] == "bits"
 
 
+@pytest.mark.parametrize("flag, value", [("--log-base", "10"), ("--format", "xml")])
+def test_unknown_choice_exits_2(flag, value, capsys):
+    # argparse's choices are the only check of these two options
+    with pytest.raises(SystemExit) as exc:
+        main(["min-entropy", flag, value])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_verify_prop4_zero_samples_is_usage_error(tmp_path, capsys):
     code = main(["verify", "prop4", "--l", "4", "--samples", "0"])
     assert code == 2
@@ -104,7 +113,9 @@ def test_capacity_depolarizing_equality(tmp_path):
     check = report["checks"][0]
     expected = math.log(2) + 0.75 * math.log(0.75) + 0.25 * math.log(0.25)
     assert check["lhs"] == pytest.approx(expected, abs=1e-6)
-    assert check["witness"]["kind"] == "equality"
+    witness = check["witness"]
+    assert witness["kind"] == "equality"
+    assert witness["c1"] == witness["log_dim"] - witness["s_min"]
 
 
 def test_capacity_non_covariant_upper_bound(tmp_path):
@@ -113,7 +124,9 @@ def test_capacity_non_covariant_upper_bound(tmp_path):
         tmp_path,
     )
     assert code == 0
-    assert report["checks"][0]["witness"]["kind"] == "upper_bound"
+    witness = report["checks"][0]["witness"]
+    assert witness["kind"] == "upper_bound"
+    assert witness["c1"] == witness["log_dim"] - witness["s_min"]
 
 
 def test_additivity_subcommand(tmp_path):

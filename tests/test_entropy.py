@@ -6,11 +6,7 @@ import pytest
 from qchan import weyl
 from qchan.channels import depolarizing, identity_channel, mixture_of_unitaries, random_channel
 from qchan.entropy import (
-    EntropyValue,
-    c1_upper_bound,
-    covariant_c1,
     holevo_chi,
-    output_p_norm_value,
     relative_entropy,
     relative_entropy_nats,
     subnormalized_entropy,
@@ -35,50 +31,42 @@ H_75_25 = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
 
 def test_von_neumann_pure_state():
     rho = pure_to_density(random_pure(4, seed=1))
-    assert von_neumann(rho).value == pytest.approx(0.0, abs=1e-12)
+    assert von_neumann(rho) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("l", [2, 3, 5])
 def test_von_neumann_maximally_mixed(l):
-    assert von_neumann(maximally_mixed(l)).value == pytest.approx(math.log(l), abs=1e-12)
+    assert von_neumann(maximally_mixed(l)) == pytest.approx(math.log(l), abs=1e-12)
 
 
 def test_von_neumann_two_point_spectrum():
     rho = density_from_matrix(np.diag([0.75, 0.25]))
-    assert von_neumann(rho).value == pytest.approx(H_75_25, abs=1e-9)
-    assert von_neumann(rho).value == pytest.approx(0.5623351446188083, abs=1e-9)
-
-
-def test_base_conversion_exact():
-    rho = random_density(3, 3, seed=2)
-    nats = von_neumann(rho, base="e").value
-    bits = von_neumann(rho, base="2").value
-    assert bits == pytest.approx(nats / math.log(2.0), rel=1e-12)
-    assert EntropyValue(nats, "e").in_base("2").value == pytest.approx(bits, rel=1e-12)
+    assert von_neumann(rho) == pytest.approx(H_75_25, abs=1e-9)
+    assert von_neumann(rho) == pytest.approx(0.5623351446188083, abs=1e-9)
 
 
 def test_entropy_value_range_invariant():
     for seed in range(5):
         rho = random_density(4, 4, seed=seed)
-        value = von_neumann(rho).value
+        value = von_neumann(rho)
         assert -1e-12 <= value <= math.log(4) + 1e-10
 
 
 def test_relative_entropy_self_is_zero():
     rho = random_density(3, 3, seed=3)
-    assert relative_entropy(rho, rho).value == pytest.approx(0.0, abs=1e-11)
+    assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_relative_entropy_to_maximally_mixed():
     rho = random_density(3, 3, seed=4)
-    value = relative_entropy(rho, maximally_mixed(3)).value
-    assert value == pytest.approx(math.log(3) - von_neumann(rho).value, abs=1e-11)
+    value = relative_entropy(rho, maximally_mixed(3))
+    assert value == pytest.approx(math.log(3) - von_neumann(rho), abs=1e-11)
 
 
 def test_relative_entropy_disjoint_support_infinite():
     a = pure_to_density(basis_state(2, 0))
     b = pure_to_density(basis_state(2, 1))
-    assert math.isinf(relative_entropy(a, b).value)
+    assert math.isinf(relative_entropy(a, b))
 
 
 def test_relative_entropy_dimension_mismatch():
@@ -133,27 +121,6 @@ def test_holevo_nonnegative():
     assert holevo_chi(c, ens) >= -1e-10
 
 
-def test_c1_bounds():
-    ident = identity_channel(3)
-    assert c1_upper_bound(ident, 0.0).value == pytest.approx(math.log(3))
-    bound = c1_upper_bound(depolarizing(2, 0.5), H_75_25)
-    assert bound.value == pytest.approx(0.1308120359358363, abs=1e-9)
-    assert not bound.equality
-    eq = covariant_c1(depolarizing(2, 1.0), math.log(2))
-    assert eq.value == pytest.approx(0.0, abs=1e-12)
-    assert eq.equality
-
-
-def test_output_p_norm_values():
-    psi = random_pure(3, seed=10)
-    assert output_p_norm_value(identity_channel(3), psi, 2.0) == pytest.approx(1.0, abs=1e-12)
-    psi2 = random_pure(2, seed=11)
-    assert output_p_norm_value(depolarizing(2, 0.5), psi2, 2.0) == pytest.approx(0.625, abs=1e-12)
-    assert output_p_norm_value(depolarizing(3, 1.0), psi, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    with pytest.raises(UsageError):
-        output_p_norm_value(identity_channel(3), psi, 1.0)
-
-
 def test_monotonicity_random_pairs():
     c = depolarizing(2, 0.5)
     for seed in range(50):
@@ -179,8 +146,3 @@ def test_concavity_spot_check():
         mixed = sum(p * r.matrix for p, r in zip(probs, parts))
         avg = sum(p * vn_nats(r.matrix) for p, r in zip(probs, parts))
         assert vn_nats(mixed) >= avg - 1e-9
-
-
-def test_invalid_base_rejected():
-    with pytest.raises(UsageError):
-        von_neumann(maximally_mixed(2), base="10")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qchan import linalg
-from qchan.errors import CapacityError, NotPositiveError, NumericalError, UsageError, ValidationError
+from qchan.errors import NotPositiveError, NumericalError, UsageError, ValidationError
 from qchan.states import random_unitary
 
 rng = np.random.default_rng(20260809)
@@ -15,44 +15,6 @@ def randc(*shape):
 def rand_hermitian(n):
     a = randc(n, n)
     return (a + a.conj().T) / 2
-
-
-def test_tensor_identity():
-    out = linalg.tensor_product(np.eye(2), np.eye(3))
-    assert np.array_equal(out, np.eye(6))
-
-
-def test_tensor_diagonal():
-    out = linalg.tensor_product(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.array_equal(np.diag(out).real, [3, 4, 6, 8])
-
-
-def test_tensor_mixed_product_identity():
-    a, b, c, d = (randc(2, 2) for _ in range(4))
-    lhs = linalg.tensor_product(a, b) @ linalg.tensor_product(c, d)
-    rhs = linalg.tensor_product(a @ c, b @ d)
-    assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_tensor_associative_exact_on_exact_entries():
-    # integer entries multiply without rounding, so both orders agree bit-for-bit
-    a, b, c = (rng.integers(-4, 5, size=(n, n)) + 1j * rng.integers(-4, 5, size=(n, n))
-               for n in (2, 2, 3))
-    left = linalg.tensor_product(linalg.tensor_product(a, b), c)
-    right = linalg.tensor_product(a, linalg.tensor_product(b, c))
-    assert np.array_equal(left, right)
-
-
-def test_tensor_associative_float():
-    a, b, c = randc(2, 2), randc(2, 2), randc(3, 3)
-    left = linalg.tensor_product(linalg.tensor_product(a, b), c)
-    right = linalg.tensor_product(a, linalg.tensor_product(b, c))
-    assert np.abs(left - right).max() < 1e-14
-
-
-def test_tensor_capacity_error():
-    with pytest.raises(CapacityError):
-        linalg.tensor_product(np.eye(3), np.eye(3), dim_cap=8)
 
 
 def _partial_trace_oracle(x, dl, dr, side):
@@ -96,7 +58,7 @@ def test_partial_trace_matches_oracle_and_preserves_trace():
 
 def test_partial_trace_recovers_tensor_factor():
     b = rand_hermitian(3)
-    x = linalg.tensor_product(np.eye(2), b)
+    x = np.kron(np.eye(2), b)
     out = linalg.partial_trace(x, 2, 3, "left")
     assert np.abs(out - 2 * b).max() < 1e-12
 

@@ -139,6 +139,17 @@ def test_max_output_purity_rejects_small_p():
         max_output_purity(identity_channel(2), 1.0)
 
 
+def test_output_p_norm_values():
+    # Tr(c(psi psi*)^2) at fixed states, read from the purity objective's value
+    def purity(c, psi):
+        return -_purity_objective(c, 2.0)[0](psi.amplitudes)
+
+    psi = random_pure(3, seed=10)
+    assert purity(identity_channel(3), psi) == pytest.approx(1.0, abs=1e-12)
+    assert purity(depolarizing(2, 0.5), random_pure(2, seed=11)) == pytest.approx(0.625, abs=1e-12)
+    assert purity(depolarizing(3, 1.0), psi) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
 def test_descent_objective_monotone_per_accepted_step():
     # value_and_grad is evaluated exactly at accepted iterates, so the recorded
     # sequence must be non-increasing within 1e-12 per step
