@@ -3,8 +3,8 @@
 Channel equality is decided by Choi-matrix distance (Frobenius); the Choi
 matrix uses the unnormalized maximally entangled reference, so Tr(choi) = dim
 and complete positivity means choi eigenvalues >= -CP_EIG_TOL.  A channel
-builds its Choi matrix on first read, so channels that are only applied never
-pay for it.
+builds its Choi matrix only when a check or a distance reads it; applying,
+composing, tensoring and reducing a channel never do.
 """
 from __future__ import annotations
 
@@ -152,22 +152,27 @@ class KrausChannel:
         return out
 
     def reduced(self) -> KrausChannel:
-        """Equivalent channel with at most dim^2 Kraus operators.
+        """Equivalent channel with at most dim^2 Kraus operators, each a Weyl combination.
 
-        Rebuilt from the Choi eigendecomposition; composing and tensoring
-        multiply operator counts, and this trims the redundancy (Choi distance
-        to the original is float noise).  The eigenvalue cutoff stays well
-        inside the trace-preservation budget.
+        Composing and tensoring multiply operator counts; this trims the
+        redundancy.  With c_kg = Tr(W_g* K_k) / dim over the Weyl basis of
+        dimension dim, the process matrix chi = c^T conj(c) has the Choi
+        eigenvalues divided by dim, and each eigenpair (lambda, v) above 1e-12
+        gives the operator sqrt(lambda) Sum_g v_g W_g.  A channel whose Kraus
+        operators each carry one shift, such as damping after depolarizing,
+        has a chi that is block diagonal by shift, so each reduced operator
+        carries one shift too and has dim nonzero entries.  The Choi distance
+        to the original is float noise.
         """
-        if self.ops.shape[0] <= self.dim * self.dim:
+        d = self.dim
+        if self.ops.shape[0] <= d * d:
             return self
-        values, vectors = hermitian_eig(self.choi)
-        ops = [
-            math.sqrt(g) * v.reshape(self.dim, self.dim)
-            for g, v in zip(values, vectors.T)
-            if g > 1e-12 * self.dim
-        ]
-        return kraus_channel(np.array(ops))
+        system = weyl_mod.weyl_system(d)
+        basis = np.array([system.unitary(g) for g in system.elements]).reshape(d * d, d * d)
+        coeffs = self.ops.reshape(-1, d * d) @ basis.conj().T / d
+        values, vectors = hermitian_eig(coeffs.T @ coeffs.conj())
+        keep = values > 1e-12
+        return kraus_channel(((vectors[:, keep] * np.sqrt(values[keep])).T @ basis).reshape(-1, d, d))
 
 
 def kraus_channel(ops) -> KrausChannel:

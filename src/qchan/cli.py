@@ -441,6 +441,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except SystemExit as exc:
+        # argparse has written its usage error (code 2) or its help (code 0)
+        return exc.code
 
 
 def console_main() -> None:

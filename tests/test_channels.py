@@ -620,14 +620,44 @@ def test_conditional_expectation_shift_average_is_circulant():
         assert max(abs(v - diag[0]) for v in diag) < 1e-12
 
 
-def test_reduced_is_equivalent_and_small():
-    xi = phase_damping(3, (0.5, 0.5)).compose(depolarizing(3, 0.3))
-    assert xi.ops.shape[0] > 9
-    small = xi.reduced()
-    assert small.ops.shape[0] <= 9
-    assert choi_distance(small, xi) < 1e-12
-    for unit in matrix_units(3):
-        assert np.abs(small.apply_matrix(unit) - xi.apply_matrix(unit)).max() < 1e-12
+def choi_reduced(c):
+    """Reference reduction: Kraus operators from the Choi matrix's eigenvectors."""
+    values, vectors = np.linalg.eigh(c.choi)
+    ops = [math.sqrt(g) * v.reshape(c.dim, c.dim) for g, v in zip(values, vectors.T) if g > 1e-12 * c.dim]
+    return kraus_channel(np.array(ops))
+
+
+def damped_depolarizing(l, p, q):
+    return phase_damping(l, q).compose(depolarizing(l, p))
+
+
+REDUCED_CASES = {
+    **{f"random-d{d}": (lambda d=d: random_channel(d, d * d + 3, seed=60 + d), None) for d in (2, 3, 4, 6)},
+    **{f"xi-l{l}": (lambda l=l: damped_depolarizing(l, 0.3, (0.5,) * (l - 1)), l) for l in (2, 3, 5, 7)},
+    "xi-l5-noncirculant": (lambda: damped_depolarizing(5, 0.3, (0.6, 0.5, 0.4, 0.0)), 5),
+    "xi-l3-cp-bound": (lambda: damped_depolarizing(3, 9 / 8, (0.5, 0.5)), 3),
+    "xi-l5-cp-bound": (lambda: damped_depolarizing(5, 25 / 24, (0.5,) * 4), 5),
+}
+
+
+@pytest.mark.parametrize("case", list(REDUCED_CASES))
+def test_reduced_is_equivalent_and_small(case):
+    build, l = REDUCED_CASES[case]
+    c = build()
+    assert c.ops.shape[0] > c.dim ** 2
+    small = c.reduced()
+    assert "choi" not in vars(c)  # the reduction never builds the Choi matrix
+    assert choi_distance(small, c) <= 1e-12
+    assert small.ops.shape[0] == choi_reduced(c).ops.shape[0]
+    for unit in matrix_units(c.dim):
+        assert np.abs(small.apply_matrix(unit) - c.apply_matrix(unit)).max() < 1e-12
+    if l is None:
+        return
+    # Damping after depolarizing keeps one Weyl shift per operator: l nonzeros each.
+    assert [np.count_nonzero(k) for k in small.ops] == [l] * small.ops.shape[0]
+    if l == 5:
+        square = small.tensor(small)
+        assert square.ops.size - np.count_nonzero(square.ops) == 375_000
 
 
 def test_reduced_noop_when_already_small():
