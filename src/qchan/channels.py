@@ -3,8 +3,9 @@
 Channel equality is decided by Choi-matrix distance (Frobenius); the Choi
 matrix uses the unnormalized maximally entangled reference, so Tr(choi) = dim
 and complete positivity means choi eigenvalues >= -CP_EIG_TOL.  A channel
-builds its Choi matrix only when a check or a distance reads it; applying,
-composing, tensoring and reducing a channel never do.
+builds its Choi matrix only when a distance reads it; applying, composing,
+tensoring, reducing and the structural checks never do.  The checks solve
+the Choi spectrum block by block over the operators' support instead.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ UNITARY_TOL = 1e-10
 CP_EIG_TOL = 1e-10
 # Channels whose Choi matrices are closer than this are considered equal.
 CHOI_EQ_TOL = 1e-11
-# Largest composite dimension a tensor product channel may have; read at call time.
+# Largest dimension of a tensor product channel or of a loaded file; read at call time.
 DIM_CAP = 4096
 
 
@@ -211,25 +212,66 @@ class ChannelChecks:
     completely_positive: bool
 
 
+def _choi_min_eigenvalue(ops: np.ndarray) -> float:
+    """Smallest Choi eigenvalue of a Kraus stack, solved block by block.
+
+    Choi entry (a, b) = Sum_k vec(K_k)[a] conj(vec(K_k)[b]) is exactly zero
+    unless some operator is nonzero at both a and b.  So the Choi matrix is
+    block diagonal over the connected components of the vec indices, linked
+    where one operator is nonzero at both; an index that no operator touches
+    is a block of its own, with eigenvalue 0.  Each block is
+    Sum_k v_k[S] v_k[S]*, and the blocks of one size go to one stacked
+    ``hermitian_eigvals`` call, which also checks each block's Hermiticity.
+    A dense stack is one block, the whole Choi matrix.
+    """
+    vecs = ops.reshape(ops.shape[0], -1)
+    m, n = vecs.shape
+    op_at, index_at = np.nonzero(vecs)
+    # Each index is labelled with the smallest index of its component.  A pass
+    # carries every label across one more operator, so the labels settle
+    # within n passes.
+    labels = np.arange(n)
+    for _ in range(n):
+        op_label = np.full(m, n)
+        np.minimum.at(op_label, op_at, labels[index_at])
+        settled = labels.copy()
+        np.minimum.at(settled, index_at, op_label[op_at])
+        if np.array_equal(settled, labels):
+            break
+        labels = settled
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    sizes = np.diff(starts, append=n)
+    lowest = math.inf
+    for size in set(sizes.tolist()):
+        members = order[starts[sizes == size][:, None] + np.arange(size)]
+        cols = vecs[:, members].transpose(1, 2, 0)  # (blocks, size, m)
+        blocks = cols @ cols.conj().swapaxes(-1, -2)
+        lowest = min(lowest, float(hermitian_eigvals(blocks)[:, 0].min()))
+    return lowest
+
+
 def structural_checks(c) -> ChannelChecks:
     """Trace preservation, unitality and CP margins.
 
     Accepts a KrausChannel or a raw operator stack, so invalid Kraus sets
-    (which the constructor refuses) can still be diagnosed.
+    (which the constructor refuses) can still be diagnosed.  The CP margin,
+    the smallest Choi eigenvalue, is solved by support blocks
+    (``_choi_min_eigenvalue``): the whole dim^2 x dim^2 Choi matrix is formed
+    only when the operators' support links every vec index into one block.
     """
     if isinstance(c, KrausChannel):
-        ops, dim, choi = c.ops, c.dim, c.choi
+        ops, dim = c.ops, c.dim
     else:
         ops = np.asarray(c, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] < 1:
             raise ValidationError(f"expected a stack of square operators, got shape {ops.shape}")
         dim = ops.shape[1]
-        choi = choi_matrix(ops)
     eye = np.eye(dim)
     tp = frobenius(gram_matrix(ops) - eye)
     # Sum_k K_k K_k* is the Gram matrix of the adjoint stack {K_k*}.
     unital = frobenius(gram_matrix(ops.conj().transpose(0, 2, 1)) - eye)
-    choi_min = float(hermitian_eigvals(choi)[0])
+    choi_min = _choi_min_eigenvalue(ops)
     return ChannelChecks(
         tp_residual=tp,
         unitality_residual=unital,

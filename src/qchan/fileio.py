@@ -9,17 +9,18 @@ Format (one matrix row per line, ``#`` starts a comment, blank lines ignored)::
 
 A state file holds one dim x dim matrix; a channel file holds ``kraus`` many,
 stacked.  Floats are written with 17 significant digits, so save/load round
-trips are bit-faithful.
+trips are bit-faithful.  A header ``dim`` above ``channels.DIM_CAP`` is
+refused before any row is read.
 """
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 import numpy as np
 
+from . import channels
 from .channels import KrausChannel, kraus_channel
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .states import DensityMatrix, density_from_matrix
 
 
@@ -33,12 +34,9 @@ class ParseError(UsageError):
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if stripped.strip():
-            out.append((lineno, stripped))
-    return out
+    """(line number, text) of each line that holds more than a comment or whitespace."""
+    stripped = (raw.partition("#")[0].rstrip() for raw in text.splitlines())
+    return [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
 
 
 def _parse_header(lines: list[tuple[int, str]], expect_kraus: bool) -> tuple[int, int, int]:
@@ -55,6 +53,8 @@ def _parse_header(lines: list[tuple[int, str]], expect_kraus: bool) -> tuple[int
         raise ParseError(f"dimension must be an integer, got {parts[1]!r}", lineno, len("dim ") + 1)
     if dim < 1:
         raise ParseError(f"dimension must be >= 1, got {dim}", lineno, len("dim ") + 1)
+    if dim > channels.DIM_CAP:
+        raise CapacityError(f"line {lineno}: dimension {dim} exceeds cap {channels.DIM_CAP}")
     if not expect_kraus:
         return dim, 1, 1
     if len(lines) < 2:
@@ -72,21 +72,8 @@ def _parse_header(lines: list[tuple[int, str]], expect_kraus: bool) -> tuple[int
     return dim, count, 2
 
 
-# A row of comma-separated entries with exactly one colon each.
-_ROW_SHAPE = re.compile(r"[^,:]*:[^,:]*(?:,[^,:]*:[^,:]*)*")
-
-
 def _parse_row(lineno: int, line: str, dim: int) -> np.ndarray:
-    if line.count(",") == dim - 1 and _ROW_SHAPE.fullmatch(line):
-        # float() ignores the whitespace that the per-entry path strips, so
-        # this yields the same numbers; any bad entry falls through to the
-        # per-entry path, which reports where it is.
-        try:
-            parts = list(map(float, line.replace(",", ":").split(":")))
-        except ValueError:
-            pass
-        else:
-            return np.array(parts).view(complex)
+    """One row, entry by entry; a malformed entry is reported with its column."""
     entries = line.split(",")
     if len(entries) != dim:
         raise ParseError(f"expected {dim} entries, got {len(entries)}", lineno, 1)
@@ -104,7 +91,56 @@ def _parse_row(lineno: int, line: str, dim: int) -> np.ndarray:
     return row
 
 
-def _parse_matrices(text: str, expect_kraus: bool) -> tuple[int, list[np.ndarray]]:
+#: Rows are converted in chunks of about this many bytes of text, so the
+#: per-token arrays of one chunk stay small however large the file is.
+PARSE_CHUNK_BYTES = 64 * 1024
+
+_COLON, _COMMA, _NEWLINE, _SPACE, _MINUS, _ZERO = (ord(c) for c in ":,\n -0")
+
+
+def _parse_chunk(text: str, dim: int, rows: int) -> np.ndarray | None:
+    """Floats re, im, re, im, ... of ``rows`` rows, each ended by a newline.
+
+    None when the per-entry path must decide: a row whose separators are not
+    ``:`` and ``,`` alternating for ``dim`` entries, a token that ``float``
+    refuses, or non-ASCII text.  A row matches that pattern exactly when
+    ``_parse_row`` splits it into ``dim`` re:im pairs, and ``float`` skips
+    the whitespace that ``_parse_row`` strips, so both give the same bits.
+    The tokens the writer emits for a zero, ``0`` or ``-0`` with at most one
+    space before, are read as +0.0 or -0.0 without a conversion; every other
+    token goes through ``float``.
+    """
+    if not text.isascii():
+        return None
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero((chars == _COLON) | (chars == _COMMA) | (chars == _NEWLINE))
+    pattern = np.array([_COLON, _COMMA] * dim, dtype=np.uint8)
+    pattern[-1] = _NEWLINE
+    if len(ends) != 2 * dim * rows or not np.array_equal(chars[ends], np.tile(pattern, rows)):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    # An empty token reads its neighbours here (clipped at the end of the
+    # text); the length tests below discard it.
+    head, second = chars[starts], chars[np.minimum(starts + 1, ends)]
+    minus = ((lengths == 2) & (head == _MINUS)) | ((lengths == 3) & (head == _SPACE) & (second == _MINUS))
+    zero = (chars[ends - 1] == _ZERO) & ((lengths == 1) | ((lengths == 2) & (head == _SPACE)) | minus)
+    values = np.where(minus, -0.0, 0.0)
+    convert = np.flatnonzero(~zero)
+    try:
+        values[convert] = [float(text[a:b]) for a, b in zip(starts[convert].tolist(), ends[convert].tolist())]
+    except ValueError:
+        return None
+    return values
+
+
+def _parse_matrices(text: str, expect_kraus: bool) -> np.ndarray:
+    """The (kraus, dim, dim) stack of a state or channel file's text.
+
+    Rows are read in chunks of about ``PARSE_CHUNK_BYTES``; a chunk that
+    ``_parse_chunk`` cannot take whole is read row by row, so an error keeps
+    its line and column.
+    """
     lines = _content_lines(text)
     dim, count, start = _parse_header(lines, expect_kraus)
     rows = lines[start:]
@@ -112,26 +148,35 @@ def _parse_matrices(text: str, expect_kraus: bool) -> tuple[int, list[np.ndarray
     if len(rows) != needed:
         where = rows[-1][0] if rows else lines[start - 1][0]
         raise ParseError(f"expected {needed} matrix rows, found {len(rows)}", where, 1)
-    matrices = []
-    for m in range(count):
-        mat = np.empty((dim, dim), dtype=complex)
-        for r in range(dim):
-            lineno, line = rows[m * dim + r]
-            mat[r] = _parse_row(lineno, line, dim)
-        matrices.append(mat)
-    return dim, matrices
+    lengths = [len(line) for _, line in rows]
+    if min(lengths) < 4 * dim - 1:
+        # Too short for dim re:im pairs, so some row is malformed: report the
+        # first one before the stack is allocated, which keeps the allocation
+        # within a few times the size of the text.
+        for lineno, line in rows:
+            _parse_row(lineno, line, dim)
+    stack = np.empty((count, dim, dim), dtype=complex)
+    flat = stack.reshape(needed, dim)
+    per_chunk = max(1, PARSE_CHUNK_BYTES // (max(lengths) + 1))
+    for first in range(0, needed, per_chunk):
+        chunk = rows[first:first + per_chunk]
+        values = _parse_chunk("\n".join([line for _, line in chunk]) + "\n", dim, len(chunk))
+        if values is None:
+            for r, (lineno, line) in enumerate(chunk, start=first):
+                flat[r] = _parse_row(lineno, line, dim)
+        else:
+            flat[first:first + len(chunk)] = values.view(complex).reshape(-1, dim)
+    return stack
 
 
 def load_state(path: str | Path) -> DensityMatrix:
     """Parse and validate a state file."""
-    _, mats = _parse_matrices(Path(path).read_text(), expect_kraus=False)
-    return density_from_matrix(mats[0])
+    return density_from_matrix(_parse_matrices(Path(path).read_text(), expect_kraus=False)[0])
 
 
 def load_channel(path: str | Path) -> KrausChannel:
     """Parse and validate a channel file."""
-    _, mats = _parse_matrices(Path(path).read_text(), expect_kraus=True)
-    return kraus_channel(np.array(mats))
+    return kraus_channel(_parse_matrices(Path(path).read_text(), expect_kraus=True))
 
 
 def _format_matrix(m: np.ndarray) -> str:

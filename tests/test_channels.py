@@ -211,7 +211,10 @@ def test_structural_checks_solve_for_eigenvalues_only(monkeypatch):
 
     monkeypatch.setattr(channels_mod, "hermitian_eig", full_solve)
     c = phase_damping(3, (0.5, 0.5)).compose(depolarizing(3, 0.3))
-    assert structural_checks(c).choi_min_eigenvalue == float(hermitian_eigvals(c.choi)[0])
+    # The spectrum is solved by support blocks, so it may differ from the
+    # dense solve in the last bits; 1e-12 * dim^2 as in test_contractions.
+    dense = float(hermitian_eigvals(c.choi)[0])
+    assert abs(structural_checks(c).choi_min_eigenvalue - dense) <= 1e-12 * c.dim ** 2
 
 
 def test_structural_checks_flags_broken_kraus():

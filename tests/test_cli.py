@@ -13,8 +13,8 @@ import pytest
 import qchan
 from qchan import cli
 from qchan.cli import RunConfig, main
-from qchan.fileio import save_channel, save_state
-from qchan.channels import kraus_channel
+from qchan.fileio import load_channel, save_channel, save_state
+from qchan.channels import depolarizing, kraus_channel, phase_damping
 from qchan.states import random_density
 
 
@@ -285,6 +285,24 @@ def test_python_m_entry_points(module):
     report = json.loads(proc.stdout)
     assert [check["id"] for check in report["checks"]] == ["eq3"]
     assert report["pass"] is True
+
+
+def test_channel_info_on_saved_tensor_square(tmp_path):
+    xi = phase_damping(3, (0.5, 0.5)).compose(depolarizing(3, 0.3)).reduced()
+    path = tmp_path / "square.txt"
+    save_channel(path, xi.tensor(xi).reduced())
+    env = dict(os.environ)
+    src = str(Path(qchan.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qchan", "channel-info", "--channel", "file", "--channel-file", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    witness = json.loads(proc.stdout)["checks"][0]["witness"]
+    dense = float(np.linalg.eigvalsh(load_channel(path).choi)[0])
+    assert abs(witness["choi_min_eigenvalue"] - dense) <= 1e-12
+    assert witness["trace_preserving"] and witness["unital"] and witness["completely_positive"]
 
 
 def _schema():

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from qchan.channels import (
+    KrausChannel,
     choi_matrix,
+    depolarizing,
     gram_matrix,
+    phase_damping,
     random_channel,
     structural_checks,
 )
@@ -142,6 +145,49 @@ def test_structural_checks(case):
         assert abs(checks.tp_residual - tp) <= TOL * d * max(1.0, tp)
         assert abs(checks.unitality_residual - unital) <= TOL * d * max(1.0, unital)
         assert abs(checks.choi_min_eigenvalue - choi_min) <= TOL * d * d
+
+
+def _xi(l):
+    return phase_damping(l, (0.5,) * (l - 1)).compose(depolarizing(l, 0.3)).reduced()
+
+
+# structural_checks solves the Choi spectrum block by block over the
+# operators' support; each case has a different block structure.
+BLOCK_CASES = {
+    "dense-one-block": lambda: random_channel(4, 16, seed=5),
+    "depolarizing-l-blocks": lambda: depolarizing(3, 0.4),
+    # Diagonal operators leave every off-diagonal vec index untouched.
+    "phase-damping-isolated": lambda: phase_damping(3, (0.5, 0.3)),
+    "xi-squared-l3": lambda: _xi(3).tensor(_xi(3)).reduced(),
+    "xi-times-phi": lambda: _xi(3).tensor(depolarizing(2, 0.5)),
+    "scaled-raw-stack": lambda: 1.1 * _xi(3).tensor(_xi(3)).reduced().ops,
+    "zero-operator": lambda: np.concatenate([depolarizing(3, 0.4).ops, np.zeros((1, 3, 3))]),
+    # Operator k is nonzero at vec indices k and k+1: one block, linked only
+    # through a chain of operators.
+    "chained-supports": lambda: _chained(3),
+}
+
+
+def _chained(d):
+    rng = np.random.default_rng(3)
+    vecs = np.zeros((d * d - 1, d * d), dtype=complex)
+    for k in range(d * d - 1):
+        vecs[k, k:k + 2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return vecs.reshape(-1, d, d)
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_choi_spectrum_by_blocks(name):
+    c = BLOCK_CASES[name]()
+    ops = c.ops if isinstance(c, KrausChannel) else c
+    d = ops.shape[1]
+    choi_min = float(np.linalg.eigvalsh(ref_choi(ops))[0])
+    checks = structural_checks(c)
+    assert abs(checks.choi_min_eigenvalue - choi_min) <= TOL * d * d
+    if name == "phase-damping-isolated":
+        assert checks.choi_min_eigenvalue == 0.0
+    if isinstance(c, KrausChannel):
+        assert "choi" not in vars(c)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)

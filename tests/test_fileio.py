@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from qchan import channels as channels_mod
 from qchan import fileio
 from qchan.channels import choi_distance, depolarizing, phase_damping, random_channel
-from qchan.errors import NotPositiveError, ValidationError
+from qchan.errors import CapacityError, NotPositiveError, ValidationError
 from qchan.fileio import ParseError, load_channel, load_state, save_channel, save_state
-from qchan.states import random_density
+from qchan.states import density_from_matrix, random_density
 
 
 def test_state_roundtrip_exact(tmp_path):
@@ -155,3 +156,133 @@ def test_parse_row_errors_keep_their_column(line, column, message):
     with pytest.raises(ParseError, match=message) as err:
         fileio._parse_row(4, line, 2)
     assert (err.value.line, err.value.column) == (4, column)
+
+
+# The body is read in chunks of rows (fileio._parse_chunk), falling back to
+# the per-entry path (fileio._parse_row) for a chunk it cannot take whole.
+# These pin the chunked pass to the per-entry path alone: the same bits, or
+# the same error at the same line and column.
+
+
+def _parse_per_entry(text, expect_kraus):
+    lines = fileio._content_lines(text)
+    dim, count, start = fileio._parse_header(lines, expect_kraus)
+    rows = [fileio._parse_row(lineno, line, dim) for lineno, line in lines[start:]]
+    return np.array(rows).reshape(count, dim, dim)
+
+
+def _assert_same_parse(text, expect_kraus=True):
+    try:
+        expected = _parse_per_entry(text, expect_kraus)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            fileio._parse_matrices(text, expect_kraus)
+        assert (got.value.line, got.value.column, str(got.value)) == (err.line, err.column, str(err))
+        return None
+    got = fileio._parse_matrices(text, expect_kraus)
+    assert got.dtype == complex and got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    return got
+
+
+def _channel_text(channel):
+    return f"dim {channel.dim}\nkraus {channel.ops.shape[0]}\n" + "\n".join(
+        fileio._format_matrix(k) for k in channel.ops) + "\n"
+
+
+def test_chunked_parse_comments_blank_lines_and_crlf():
+    text = ("# header comment\ndim 2\n\nkraus 2   # two operators\n"
+            "1:0, 0:0\n# between rows\n\n0:0, -0.5:1e-3  # trailing\n"
+            "   \n0:0, 0:0\n0:0, 0.25:0\n")
+    got = _assert_same_parse(text)
+    assert got[0, 1, 1] == complex(-0.5, 1e-3)
+    _assert_same_parse(text.replace("\n", "\r\n"))
+    _assert_same_parse(text.replace("\n", "\r"))
+
+
+@pytest.mark.parametrize("token", ["-0", " 0", "0 ", " -0", "1_0", "inf", "-inf", "nan", "\t0.5",
+                                   "0.5\t", "١", "00", "+0", "0.0", "--0", "0x1", ""])
+def test_chunked_parse_tokens(token):
+    for row in (f"{token}:0, 1:{token}", f"1:0,{token}:{token}"):
+        _assert_same_parse(f"dim 2\nkraus 1\n{row}\n0:0, 1:0\n")
+
+
+def test_chunked_parse_signed_zeros_keep_their_sign():
+    got = _assert_same_parse("dim 2\nkraus 1\n0:-0, -0:0\n -0: 0, 0: -0\n")
+    signs = np.signbit(got.view(float)).ravel().tolist()
+    assert signs == [False, True, True, False, True, False, False, True]
+
+
+def test_chunked_parse_many_chunks_matches_per_entry(monkeypatch):
+    c = random_channel(5, 60, seed=4)
+    text = _channel_text(c)
+    assert len(text) > fileio.PARSE_CHUNK_BYTES
+    got = _assert_same_parse(text)
+    assert np.array_equal(got, c.ops)
+    monkeypatch.setattr(fileio, "PARSE_CHUNK_BYTES", 300)
+    _assert_same_parse(text)
+
+
+def test_chunked_parse_takes_writer_output_whole(monkeypatch, tmp_path):
+    c = phase_damping(3, (0.5, 0.5)).compose(depolarizing(3, 0.3)).reduced()
+    square = c.tensor(c).reduced()
+    path = tmp_path / "square.txt"
+    save_channel(path, square)
+
+    def per_entry(*args):
+        raise AssertionError("the writer's rows need no per-entry fallback")
+
+    monkeypatch.setattr(fileio, "PARSE_CHUNK_BYTES", 2000)
+    monkeypatch.setattr(fileio, "_parse_row", per_entry)
+    again = load_channel(path)
+    assert np.array_equal(again.ops.view(np.uint64), square.ops.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("1:0, 0:0, 0:0", "expected 2 entries"),
+    ("1:0, x:0", "non-numeric"),
+    ("1:0:0, 0", "not a re:im pair"),
+    ("1:0, 0:١x", "non-numeric"),
+])
+def test_chunked_parse_error_after_a_chunk_that_passed(monkeypatch, bad, message):
+    monkeypatch.setattr(fileio, "PARSE_CHUNK_BYTES", 40)
+    rows = ["1:0, 0:0", "0:0, 1:0"] * 4
+    rows[5] = bad
+    text = "dim 2\nkraus 4\n" + "\n".join(rows) + "\n"
+    chunked = []
+    parse_chunk = fileio._parse_chunk
+
+    def recorded(*args):
+        chunked.append(parse_chunk(*args))
+        return chunked[-1]
+
+    monkeypatch.setattr(fileio, "_parse_chunk", recorded)
+    with pytest.raises(ParseError, match=message) as err:
+        fileio._parse_matrices(text, True)
+    assert err.value.line == 8
+    assert chunked[0] is not None and chunked[-1] is None
+    _assert_same_parse(text)
+
+
+def test_state_file_loads_as_before(tmp_path):
+    rho = random_density(4, 2, seed=3)
+    path = tmp_path / "state.txt"
+    save_state(path, rho)
+    text = path.read_text()
+    got = _assert_same_parse(text, expect_kraus=False)
+    assert np.array_equal(got[0], rho.matrix)
+    expected = density_from_matrix(_parse_per_entry(text, False)[0])
+    again = load_state(path)
+    assert np.array_equal(again.matrix, expected.matrix) and again.note == expected.note
+
+
+@pytest.mark.parametrize("load,header", [(load_state, "dim 5\n"), (load_channel, "dim 5\nkraus 1\n")])
+def test_dimension_above_cap_is_refused_before_rows(monkeypatch, tmp_path, load, header):
+    monkeypatch.setattr(channels_mod, "DIM_CAP", 4)
+    path = tmp_path / "big.txt"
+    path.write_text(header + "not a row\n" * 5)
+    with pytest.raises(CapacityError, match="dimension 5 exceeds cap 4"):
+        load(path)
+    path.write_text(header.replace("5", "4") + "not a row\n" * 4)
+    with pytest.raises(ParseError):
+        load(path)
