@@ -14,30 +14,22 @@ from .channels import (
     Eq9Decomposition,
     Eq12Report,
     KrausChannel,
-    MixtureWeights,
-    PauliQubitParams,
     PhaseDampingParams,
     SchurReport,
     choi_distance,
-    conditional_expectation,
     depolarizing,
     eq9_decomposition,
     eq12_representation,
     identity_channel,
     kraus_channel,
-    mixture_of_unitaries,
     pauli_qubit,
     phase_damping,
-    qubit_factorize,
-    random_channel,
     schur_matrix,
     structural_checks,
 )
 from .entropy import (
     holevo_chi,
-    relative_entropy,
     subnormalized_entropy,
-    von_neumann,
 )
 from .errors import (
     CapacityError,
@@ -52,7 +44,6 @@ from .errors import (
 from .linalg import (
     HermitianEigen,
     hermitian_eig,
-    matrix_function_hermitian,
     partial_trace,
 )
 from .optimize import (
@@ -60,18 +51,13 @@ from .optimize import (
     entropy_gradient,
     max_output_purity,
     min_output_entropy,
-    output_entropy,
 )
 from .states import (
     DensityMatrix,
     PureState,
     StateEnsemble,
     density_from_matrix,
-    maximally_mixed,
     pure_to_density,
-    random_density,
-    random_pure,
-    random_unitary,
 )
 from .verify import (
     check_additivity,

@@ -23,7 +23,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    SIMPLEX_TOL,
     as_complex_matrix,
     dagger,
     frobenius,
@@ -31,13 +30,10 @@ from .linalg import (
     hermitian_eig,
     hermitian_eigvals,
 )
-from .rng import substream
 from .states import DensityMatrix, PureState, density_from_matrix
 
 # Trace-preservation / unitality residual limit, scaled by dim.
 TP_TOL = 1e-10
-# Unitarity tolerance for mixture constituents, scaled by dim.
-UNITARY_TOL = 1e-10
 # Choi eigenvalues above this are accepted as CP.
 CP_EIG_TOL = 1e-10
 # Channels whose Choi matrices are closer than this are considered equal.
@@ -269,8 +265,9 @@ def structural_checks(c) -> ChannelChecks:
         dim = ops.shape[1]
     eye = np.eye(dim)
     tp = frobenius(gram_matrix(ops) - eye)
-    # Sum_k K_k K_k* is the Gram matrix of the adjoint stack {K_k*}.
-    unital = frobenius(gram_matrix(ops.conj().transpose(0, 2, 1)) - eye)
+    # Row i of ``rows`` holds row i of every K_k, so rows rows* = Sum_k K_k K_k*.
+    rows = ops.transpose(1, 0, 2).reshape(dim, -1)
+    unital = frobenius(rows @ rows.conj().T - eye)
     choi_min = _choi_min_eigenvalue(ops)
     return ChannelChecks(
         tp_residual=tp,
@@ -294,8 +291,7 @@ def identity_channel(dim: int) -> KrausChannel:
 class DepolarizingParams:
     """Mixing strength p with (1-p) x + (p/l) Tr(x) I; CP for p <= l^2/(l^2-1).
 
-    p = 0 (the identity channel) is admitted as the degenerate limit so that
-    qubit factorization covers lambda_3 = 1.
+    p = 0 (the identity channel) is admitted as the degenerate limit.
     """
 
     l: int
@@ -381,8 +377,7 @@ def phase_damping(l: int, q) -> KrausChannel:
     Kraus operators are sqrt(gamma_i) diag(v_i) from the eigendecomposition of
     the coefficient matrix; a matrix that is not PSD is rejected as not CP.
     """
-    params = q if isinstance(q, PhaseDampingParams) else PhaseDampingParams(l=l, q=tuple(np.atleast_1d(q)))
-    report = schur_matrix(params)
+    report = schur_matrix(PhaseDampingParams(l=l, q=tuple(np.atleast_1d(q))))
     if report.min_eigenvalue < -CP_EIG_TOL:
         raise NotCompletelyPositiveError(
             f"phase damping multiplier is not PSD: min eigenvalue {report.min_eigenvalue:.6e}",
@@ -404,28 +399,14 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class PauliQubitParams:
-    """Bloch contraction factors (lambda_1, lambda_2, lambda_3) of a Pauli mixture."""
-
-    lambda1: float
-    lambda2: float
-    lambda3: float
-
-    def mixing_weights(self) -> tuple[float, float, float, float]:
-        l1, l2, l3 = self.lambda1, self.lambda2, self.lambda3
-        return (
-            (1 + l1 + l2 + l3) / 4,
-            (1 + l1 - l2 - l3) / 4,
-            (1 - l1 + l2 - l3) / 4,
-            (1 - l1 - l2 + l3) / 4,
-        )
-
-
 def pauli_qubit(lambda1: float, lambda2: float, lambda3: float) -> KrausChannel:
     """Mixture of I, X, Y, Z scaling the Bloch components by the given factors."""
-    params = PauliQubitParams(lambda1, lambda2, lambda3)
-    weights = np.array(params.mixing_weights())
+    weights = np.array([
+        (1 + lambda1 + lambda2 + lambda3) / 4,
+        (1 + lambda1 - lambda2 - lambda3) / 4,
+        (1 - lambda1 + lambda2 - lambda3) / 4,
+        (1 - lambda1 - lambda2 + lambda3) / 4,
+    ])
     if weights.min() < -1e-12:
         raise NotCompletelyPositiveError(
             f"Pauli mixture weight {weights.min():.6e} is negative; map is not CP",
@@ -440,63 +421,8 @@ def pauli_qubit(lambda1: float, lambda2: float, lambda3: float) -> KrausChannel:
     return kraus_channel(np.array(ops))
 
 
-def qubit_factorize(lambda1: float, lambda3: float) -> tuple[PhaseDampingParams, DepolarizingParams]:
-    """Split a (l1, l1, l3) qubit channel into phase damping after depolarizing.
-
-    Returns q_1 = lambda1/lambda3 and 1 - p = lambda3; requires
-    |lambda1| <= lambda3 and 0 < lambda3 <= 1.  Negative lambda1 yields q_1
-    outside [0, 1] and is rejected by the damping parameter range.
-    """
-    if not 0.0 < lambda3 <= 1.0:
-        raise UsageError(f"factorization needs 0 < lambda3 <= 1, got {lambda3}")
-    if abs(lambda1) > lambda3:
-        raise UsageError(f"factorization needs |lambda1| <= lambda3, got {lambda1}, {lambda3}")
-    damping = PhaseDampingParams(l=2, q=(lambda1 / lambda3,))
-    depo = DepolarizingParams(l=2, p=1.0 - lambda3)
-    return damping, depo
-
-
 # ---------------------------------------------------------------------------
-# Mixtures of unitaries and conditional expectations
-
-
-@dataclass(frozen=True)
-class MixtureWeights:
-    """A probability vector over unitaries."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        if not w:
-            raise ValidationError("mixture needs at least one weight")
-        if min(w) < 0.0:
-            raise ValidationError(f"negative mixture weight {min(w)}")
-        if abs(sum(w) - 1.0) > SIMPLEX_TOL:
-            raise ValidationError(f"mixture weights sum to {sum(w)}, not 1")
-        object.__setattr__(self, "weights", w)
-
-
-def mixture_of_unitaries(weights, unitaries) -> KrausChannel:
-    """Channel Sum_g mu_g U_g x U_g*; unital by construction."""
-    mix = weights if isinstance(weights, MixtureWeights) else MixtureWeights(tuple(weights))
-    mats = [as_complex_matrix(u) for u in unitaries]
-    if len(mats) != len(mix.weights):
-        raise UsageError(f"{len(mix.weights)} weights vs {len(mats)} unitaries")
-    dim = mats[0].shape[0]
-    for i, u in enumerate(mats):
-        if u.shape[0] != dim:
-            raise UsageError("all mixture unitaries must share one dimension")
-        if frobenius(dagger(u) @ u - np.eye(dim)) > UNITARY_TOL * dim:
-            raise ValidationError(f"matrix {i} is not unitary within tolerance")
-    ops = [math.sqrt(w) * u for w, u in zip(mix.weights, mats) if w > 0.0]
-    return kraus_channel(np.array(ops))
-
-
-def conditional_expectation(family: weyl_mod.SubgroupFamily) -> KrausChannel:
-    """Uniform average over the family's conjugations; projects onto its fixed algebra."""
-    l = family.system.l
-    return mixture_of_unitaries([1.0 / l] * l, family.unitaries())
+# Random channels
 
 
 def random_channel_from(rng: np.random.Generator, dim: int, kraus_count: int) -> KrausChannel:
@@ -507,10 +433,6 @@ def random_channel_from(rng: np.random.Generator, dim: int, kraus_count: int) ->
     values, vectors = hermitian_eig(gram_matrix(g))
     inv_sqrt = (vectors / np.sqrt(values)) @ dagger(vectors)
     return kraus_channel((g.reshape(-1, dim) @ inv_sqrt).reshape(g.shape))
-
-
-def random_channel(dim: int, kraus_count: int, seed: int) -> KrausChannel:
-    return random_channel_from(substream(seed), dim, kraus_count)
 
 
 # ---------------------------------------------------------------------------

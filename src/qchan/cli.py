@@ -281,7 +281,7 @@ def _additivity(cfg: RunConfig) -> Check:
 def _multiplicativity(cfg: RunConfig) -> Check:
     channel = build_channel(cfg)
     return check_multiplicativity(channel, channel, cfg.p_norm, cfg.restarts, cfg.seed,
-                                  max_iter=cfg.max_iter, grad_tol=cfg.tol).to_check()
+                                  max_iter=cfg.max_iter, grad_tol=cfg.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from .channels import KrausChannel
 from .errors import UsageError, ValidationError
 from .linalg import TRACE_TOL, clamp_spectrum, dagger, first_index, hermitian_eig, stack_suffix
-from .states import DensityMatrix, StateEnsemble
+from .states import StateEnsemble
 
 #: Eigenvalues of the second argument below this bound count as its kernel.
 KERNEL_TOL = 1e-10
@@ -70,11 +70,6 @@ def vn_nats(matrix: np.ndarray):
     return entropy_of_spectrum(hermitian_eig(matrix).values)
 
 
-def von_neumann(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr rho log rho."""
-    return vn_nats(rho.matrix)
-
-
 def subnormalized_entropy(y: np.ndarray):
     """-Tr(y log y) in nats for PSD y with Tr(y) <= 1, same clamping convention (stack-aware)."""
     values = clamp_spectrum(hermitian_eig(y).values)
@@ -108,13 +103,6 @@ def relative_entropy_nats(rho: np.ndarray, sigma: np.ndarray):
     plogs = _xlogy_sums(weights, s_vals, support)
     off_support = _kept_sums(weights, kernel) > KERNEL_TOL
     return _unbatched(np.where(off_support, math.inf, plogp - plogs))
-
-
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Relative entropy between two states; infinite when supports are incompatible."""
-    if rho.dim != sigma.dim:
-        raise UsageError(f"states have different dimensions {rho.dim}, {sigma.dim}")
-    return relative_entropy_nats(rho.matrix, sigma.matrix)
 
 
 def holevo_chi(c: KrausChannel, ensemble: StateEnsemble) -> float:

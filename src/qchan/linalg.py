@@ -16,7 +16,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from typing import Callable, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -169,26 +169,6 @@ def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(_hermitian_part(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solve failed to converge: {exc}") from exc
-
-
-def matrix_function_hermitian(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply the scalar rule ``f`` to ``a`` through its eigendecomposition.
-
-    ``f`` receives the 1-d array of eigenvalues and must return the transformed
-    array; the caller owns the rule's behaviour at clamped eigenvalues.
-    """
-    values, vectors = hermitian_eig(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        try:
-            fv = np.asarray(f(values), dtype=float)
-        except TypeError:
-            fv = np.array([float(f(v)) for v in values])
-    if fv.shape != values.shape:
-        raise UsageError("scalar rule must map the eigenvalue array to an equal-length array")
-    if not np.all(np.isfinite(fv)):
-        bad = values[~np.isfinite(fv)]
-        raise NumericalError(f"scalar rule undefined at eigenvalue(s) {bad}")
-    return (vectors * fv) @ dagger(vectors)
 
 
 def clamp_spectrum(values: np.ndarray) -> np.ndarray:

@@ -61,18 +61,6 @@ class OptimizationResult:
     gradient_norm_final: float
 
 
-def _check_dim(c: KrausChannel, psi: PureState) -> None:
-    if psi.dim != c.dim:
-        raise UsageError(f"state dimension {psi.dim} != channel dimension {c.dim}")
-
-
-def output_entropy(c: KrausChannel, psi: PureState) -> float:
-    """S(c(|psi><psi|)) in nats."""
-    _check_dim(c, psi)
-    value, _ = _entropy_objective(c)
-    return value(psi.amplitudes)
-
-
 def _spectral_objective(
     c: KrausChannel,
     value_of: Callable[[np.ndarray], float],
@@ -121,7 +109,8 @@ def entropy_gradient(c: KrausChannel, psi: PureState) -> np.ndarray:
     Equals -2 (I - psi psi*) c_adj(log c(rho) + I) psi with the output spectrum
     floored at GRAD_FLOOR inside the logarithm.
     """
-    _check_dim(c, psi)
+    if psi.dim != c.dim:
+        raise UsageError(f"state dimension {psi.dim} != channel dimension {c.dim}")
     _, value_and_grad = _entropy_objective(c)
     return value_and_grad(psi.amplitudes)[1]
 

@@ -133,29 +133,6 @@ class AdditivityReport:
         )
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
-    """Output p-norm of a tensor pair against the product of the parts."""
-
-    p: float
-    norm_a: float
-    norm_b: float
-    norm_joint: float
-    deviation: float
-    restarts: int
-    seed: int
-    tolerance: float
-    passed: bool
-
-    def to_check(self) -> Check:
-        witness = {"p": self.p, "norm_a": self.norm_a, "norm_b": self.norm_b, "restarts": self.restarts}
-        return Check(
-            claim_id="multiplicativity", lhs=self.norm_joint, rhs=self.norm_a * self.norm_b,
-            margin=self.deviation, tolerance=self.tolerance, passed=self.passed,
-            witness=witness, seed=self.seed,
-        )
-
-
 def _format_float(x: float) -> str:
     if math.isnan(x):
         raise ValueError("NaN is not representable in reports")

@@ -1,8 +1,8 @@
 """Validated quantum states and reproducible random sampling.
 
-Samplers are deterministic per seed (PCG64 streams, see :mod:`qchan.rng`);
-the ``*_from`` variants take an explicit generator so batch drivers can derive
-independent substreams per task.  ``random_state_matrix_from`` returns the
+Each ``random_*_from`` sampler draws from the generator it is given, so a
+batch driver passes each task its own substream (PCG64, see
+:mod:`qchan.rng`) and gets the same draws for the same seed.  ``random_state_matrix_from`` returns the
 unvalidated matrix, so a batch driver can validate a whole stack of draws with
 one ``density_from_matrix`` call.
 """
@@ -15,7 +15,6 @@ import numpy as np
 from . import linalg
 from .errors import UsageError, ValidationError
 from .linalg import EIG_CLAMP_TOL, SIMPLEX_TOL, TRACE_TOL, UNIT_NORM_TOL, dagger, frozen
-from .rng import substream
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,6 @@ def density_from_matrix(m: np.ndarray) -> DensityMatrix:
     return DensityMatrix(matrix=frozen(out), dim=out.shape[-1], note=note)
 
 
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(matrix=frozen(np.eye(dim, dtype=complex) / dim), dim=dim)
-
-
 def basis_state(dim: int, index: int) -> PureState:
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
@@ -137,10 +132,6 @@ def random_pure_from(rng: np.random.Generator, dim: int) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
-def random_pure(dim: int, seed: int) -> PureState:
-    return random_pure_from(substream(seed), dim)
-
-
 def random_state_matrix_from(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     """Gaussian-induced random state G G* / Tr(G G*), G of shape dim x rank, unvalidated."""
     if not 1 <= rank <= dim:
@@ -156,17 +147,9 @@ def random_density_from(rng: np.random.Generator, dim: int, rank: int) -> Densit
     return density_from_matrix(random_state_matrix_from(rng, dim, rank))
 
 
-def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
-    return random_density_from(substream(seed), dim, rank)
-
-
 def random_unitary_from(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    return random_unitary_from(substream(seed), dim)

@@ -47,10 +47,9 @@ from .optimize import (
     max_output_purity,
     min_output_entropy,
 )
-from .reporting import AdditivityReport, Check, MultiplicativityReport, timed, verdict
+from .reporting import AdditivityReport, Check, timed, verdict
 from .rng import substream
 from .states import (
-    DensityMatrix,
     PureState,
     basis_state,
     density_from_matrix,
@@ -250,7 +249,7 @@ def check_eq9(l: int, p: float) -> Check:
 
 def check_eq12(l: int, q) -> Check:
     """Diagnostic reconstruction residual; reported, never asserted (open question)."""
-    params = q if isinstance(q, PhaseDampingParams) else PhaseDampingParams(l=l, q=tuple(np.atleast_1d(q)))
+    params = PhaseDampingParams(l=l, q=tuple(np.atleast_1d(q)))
     report = eq12_representation(params)
     worst = np.unravel_index(int(np.argmax(report.entry_residuals)), report.entry_residuals.shape)
     return verdict(
@@ -269,49 +268,23 @@ def check_eq12(l: int, q) -> Check:
 # prop1: coset coarse-graining decreases output entropy
 
 
-def _check_dim(x: np.ndarray, l: int, dim_k: int) -> None:
-    if x.shape[-1] != l * dim_k:
-        raise UsageError(f"state dimension {x.shape[-1]} != {l} * {dim_k}")
-
-
 def _prop1_scores(
     system: weyl_mod.WeylSystem, lam: np.ndarray, eps: np.ndarray, x: np.ndarray, dim_k: int,
-    seed: int | None = None,
 ) -> Scores:
-    """prop1 on stacked weight rows (n, l) and states (n, l dim_k, l dim_k)."""
+    """S((Phi (x) Id)(x)) >= S(coset mixture) for product weights mu = lam * eps.
+
+    ``lam`` weighs the phase transversal {(0, k)}, ``eps`` the shift subgroup
+    {(t, 0)}; their product populates the whole group.  Takes stacked weight
+    rows (n, l) and states (n, l dim_k, l dim_k).
+    """
     l = system.l
     group = [system.unitary((t, k)) for k in range(l) for t in range(l)]
     lhs_mat = _family_mixture(group, (lam[:, :, None] * eps[:, None, :]).reshape(-1, l * l), x, dim_k)
     rhs_mat = _family_mixture([system.unitary((0, k)) for k in range(l)], lam, x, dim_k)
     return _scores(
-        "prop1", vn_nats(lhs_mat), vn_nats(rhs_mat), tolerance=INEQ_TOL, seed=seed, units="nats",
+        "prop1", vn_nats(lhs_mat), vn_nats(rhs_mat), tolerance=INEQ_TOL, units="nats",
         witness=lambda j: {"lambda": lam[j].tolist(), "epsilon": eps[j].tolist(), "dim_k": dim_k},
     )
-
-
-def prop1_report(
-    system: weyl_mod.WeylSystem,
-    lam,
-    eps,
-    x: DensityMatrix,
-    dim_k: int,
-    seed: int | None = None,
-) -> Check:
-    """S((Phi (x) Id)(x)) >= S(coset mixture) for product weights mu = lam * eps.
-
-    ``lam`` weighs the phase transversal {(0, k)}, ``eps`` the shift subgroup
-    {(t, 0)}; their product populates the whole group.
-    """
-    l = system.l
-    _check_dim(x.matrix, l, dim_k)
-    lam = np.asarray(lam, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if lam.shape != (l,) or eps.shape != (l,):
-        raise UsageError(f"need {l} coset weights and {l} subgroup weights")
-    for name, w in (("lambda", lam), ("epsilon", eps)):
-        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
-            raise UsageError(f"{name} weights must form a probability vector")
-    return _prop1_scores(system, lam[None], eps[None], x.matrix[None], dim_k, seed).check(0)
 
 
 def verify_prop1(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = None) -> Check:
@@ -336,9 +309,11 @@ def verify_prop1(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = 
 
 def _prop2_scores(
     family: weyl_mod.SubgroupFamily, lam: np.ndarray, x: np.ndarray, dim_k: int,
-    seed: int | None = None,
 ) -> Scores:
-    """prop2 on stacked weight rows (n, l) and states (n, l dim_k, l dim_k)."""
+    """S((Phi (x) Id)(x)) >= H(lam) + Sum_k S_sub(Tr_H((P_k (x) I) E(x))) - log l.
+
+    Takes stacked weight rows (n, l) and states (n, l dim_k, l dim_k).
+    """
     l = family.system.l
     resolution = weyl_mod.fixed_point_resolution(family)
     lhs = vn_nats(_family_mixture(family.unitaries(), lam, x, dim_k))
@@ -349,25 +324,9 @@ def _prop2_scores(
         middle = middle + subnormalized_entropy(block)
     rhs = entropy_of_spectrum(lam) + middle - math.log(l)
     return _scores(
-        "prop2", lhs, rhs, tolerance=INEQ_TOL, seed=seed, units="nats",
+        "prop2", lhs, rhs, tolerance=INEQ_TOL, units="nats",
         witness=lambda j: {"family": family.label, "lambda": lam[j].tolist(), "dim_k": dim_k},
     )
-
-
-def prop2_report(
-    family: weyl_mod.SubgroupFamily,
-    lam,
-    x: DensityMatrix,
-    dim_k: int,
-    seed: int | None = None,
-) -> Check:
-    """S((Phi (x) Id)(x)) >= H(lam) + Sum_k S_sub(Tr_H((P_k (x) I) E(x))) - log l."""
-    l = family.system.l
-    _check_dim(x.matrix, l, dim_k)
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (l,) or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-12:
-        raise UsageError(f"need a probability vector of {l} mixture weights")
-    return _prop2_scores(family, lam[None], x.matrix[None], dim_k, seed).check(0)
 
 
 def verify_prop2(l: int, samples: int = 200, seed: int = 0, dim_k: int | None = None) -> Check:
@@ -403,32 +362,20 @@ def _normalized_entropy(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vn_nats(block / trace[:, None, None]), trace
 
 
-def prop3_report(
-    l: int,
-    p: float,
-    x: DensityMatrix,
-    dim_k: int,
-    mode: str = "constructive",
-    search_count: int = 200,
-    seed: int | None = None,
-) -> Check:
+def _prop3_scores(
+    lifted: KrausChannel, l: int, p: float, x: np.ndarray, dim_k: int,
+    mode: str, search_count: int, seed: int | None,
+) -> Scores:
     """S((Phi (x) Id)(x)) >= h(p, l) + S(rho) with rho = l Tr_H((P (x) I) x).
 
+    Takes a stack of states, and ``lifted`` = Phi (x) Id_K from the caller.
     Constructive mode follows the proof and needs Tr_K(x) = I/l within 1e-8;
     search mode scans marginal eigenprojections plus random rank-one
     projections, keeping the best margin among candidates whose overlap
     Tr((P (x) I) x) is within 1e-8 of 1/l.
     """
-    lifted = depolarizing(l, p).tensor(identity_channel(dim_k))
-    return _prop3_scores(lifted, l, p, x.matrix[None], dim_k, mode, search_count, seed).check(0)
-
-
-def _prop3_scores(
-    lifted: KrausChannel, l: int, p: float, x: np.ndarray, dim_k: int,
-    mode: str, search_count: int, seed: int | None,
-) -> Scores:
-    """prop3 on a stack of states, with Phi (x) Id_K built by the caller."""
-    _check_dim(x, l, dim_k)
+    if x.shape[-1] != l * dim_k:
+        raise UsageError(f"state dimension {x.shape[-1]} != {l} * {dim_k}")
     system = weyl_mod.weyl_system(l)
     samples = len(x)
     marginal = partial_trace(x, l, dim_k, side="right")
@@ -526,11 +473,6 @@ def random_mixed_marginal_matrix(rng: np.random.Generator, l: int, dim_k: int) -
         v = u @ omega
         x = x + w * np.outer(v, v.conj())
     return x
-
-
-def random_mixed_marginal_state(rng: np.random.Generator, l: int, dim_k: int) -> DensityMatrix:
-    """The validated state of ``random_mixed_marginal_matrix``."""
-    return density_from_matrix(random_mixed_marginal_matrix(rng, l, dim_k))
 
 
 def verify_prop3(
@@ -669,8 +611,12 @@ def check_multiplicativity(
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
     grad_tol: float = DEFAULT_TOL,
-) -> MultiplicativityReport:
-    """Compare ||a (x) b||_p with ||a||_p ||b||_p via the same restart optimizer."""
+) -> Check:
+    """Compare ||a (x) b||_p with ||a||_p ||b||_p via the same restart optimizer.
+
+    Multiplicativity is an equality, so the check passes on |deviation| within
+    tolerance, on either side.
+    """
     res_a, res_b, res_joint = _pair_search(
         a, b, lambda c, *args, **kwargs: max_output_purity(c, p, *args, **kwargs),
         restarts, seed, max_iter, grad_tol,
@@ -679,16 +625,10 @@ def check_multiplicativity(
     norm_b = res_b.value ** (1.0 / p)
     norm_joint = res_joint.value ** (1.0 / p)
     deviation = norm_joint - norm_a * norm_b
-    return MultiplicativityReport(
-        p=p,
-        norm_a=norm_a,
-        norm_b=norm_b,
-        norm_joint=norm_joint,
-        deviation=deviation,
-        restarts=restarts,
-        seed=seed,
-        tolerance=MULTIPLICATIVITY_TOL,
-        passed=abs(deviation) <= MULTIPLICATIVITY_TOL,
+    return Check(
+        claim_id="multiplicativity", lhs=norm_joint, rhs=norm_a * norm_b, margin=deviation,
+        tolerance=MULTIPLICATIVITY_TOL, passed=abs(deviation) <= MULTIPLICATIVITY_TOL,
+        witness={"p": p, "norm_a": norm_a, "norm_b": norm_b, "restarts": restarts}, seed=seed,
     )
 
 

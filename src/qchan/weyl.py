@@ -21,7 +21,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg
 from .errors import StructureError, UsageError, ValidationError
 from .linalg import dagger, frobenius, frozen
 
@@ -92,20 +91,6 @@ def weyl_system(l: int) -> WeylSystem:
         (k, s): shift_pow[k] @ phase_pow[s] for k in range(l) for s in range(l)
     }
     return WeylSystem(l=l, unitaries=unitaries)
-
-
-def irreducibility_residual(system: WeylSystem, x: np.ndarray) -> float:
-    """||twirl(x) - Tr(x)/l * I||_F; should vanish for an irreducible system.
-
-    The twirl averages U x U* over the whole group.
-    """
-    x = linalg.as_complex_matrix(x)
-    twirl = np.zeros_like(x)
-    for u in system.unitaries.values():
-        twirl += linalg.apply_left(u, x, system.l, 1, conjugate=True)
-    twirl /= system.l ** 2
-    target = np.trace(x) / system.l * np.eye(system.l)
-    return frobenius(twirl - target)
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,7 @@ def test_criterion_10_multiplicativity_p2():
     for l, p in ((2, 0.5), (3, 0.3)):
         c = depolarizing(l, p)
         rep = check_multiplicativity(c, c, 2.0, restarts=20, seed=0)
-        worst = max(worst, abs(rep.deviation))
+        worst = max(worst, abs(rep.margin))
     _verdict(
         "criterion 10", worst <= 1e-5,
         f"output 2-norm multiplicativity for depolarizing pairs, worst "

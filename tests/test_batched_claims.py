@@ -35,8 +35,6 @@ from qchan.verify import (
     gradient_suite,
     intertwining_residuals,
     monotonicity_suite,
-    prop3_report,
-    random_mixed_marginal_state,
     resolution_residual,
     verify_prop1,
     verify_prop2,
@@ -44,6 +42,8 @@ from qchan.verify import (
     verify_theorem,
     worst_over,
 )
+
+from helpers import prop3_check, random_mixed_marginal_state
 
 SAMPLES = 7
 
@@ -261,7 +261,7 @@ def test_prop3_witness_is_the_first_candidate_within_tolerance_of_the_minimum(l)
     for x in states:
         labels, entropies = ref_prop3_candidates(l, x.matrix, l)
         first = next(i for i, e in enumerate(entropies) if e <= min(entropies) + INEQ_TOL)
-        check = prop3_report(l, 0.3, x, l)
+        check = prop3_check(l, 0.3, x, l)
         assert (check.witness["subgroup"], check.witness["projection"]) == labels[first]
         assert check.witness["state_entropy"] == min(entropies)
 

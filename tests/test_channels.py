@@ -9,17 +9,13 @@ from qchan.channels import (
     PhaseDampingParams,
     choi_distance,
     choi_matrix,
-    conditional_expectation,
     depolarizing,
     eq9_decomposition,
     eq12_representation,
     identity_channel,
     kraus_channel,
-    mixture_of_unitaries,
     pauli_qubit,
     phase_damping,
-    qubit_factorize,
-    random_channel,
     schur_matrix,
     structural_checks,
 )
@@ -32,10 +28,13 @@ from qchan.errors import (
     UsageError,
     ValidationError,
 )
-from qchan.states import (
-    basis_state,
+from qchan.states import basis_state, pure_to_density
+from qchan.verify import _family_average
+
+from helpers import (
     maximally_mixed,
-    pure_to_density,
+    mixture_of_unitaries,
+    random_channel,
     random_density,
     random_pure,
     random_unitary,
@@ -408,33 +407,18 @@ def test_pauli_rejects_non_cp():
 # ------------------------------------------------------------- factorization
 
 
+# A (l1, l1, l3) qubit channel with |l1| <= l3 is phase damping with
+# q_1 = l1 / l3 after depolarizing with p = 1 - l3.
+
+
 def test_qubit_factorize_identity_case():
-    damping, depo = qubit_factorize(1.0, 1.0)
-    composed = phase_damping(2, damping).compose(depolarizing(depo.l, depo.p))
+    composed = phase_damping(2, (1.0,)).compose(depolarizing(2, 0.0))
     assert choi_distance(composed, identity_channel(2)) < 1e-12
 
 
 def test_qubit_factorize_oracle():
-    damping, depo = qubit_factorize(0.3, 0.6)
-    assert damping.q[0] == pytest.approx(0.5)
-    assert depo.p == pytest.approx(0.4)
-    composed = phase_damping(2, damping).compose(depolarizing(depo.l, depo.p))
+    composed = phase_damping(2, (0.3 / 0.6,)).compose(depolarizing(2, 1.0 - 0.6))
     assert choi_distance(composed, pauli_qubit(0.3, 0.3, 0.6)) <= 1e-12
-
-
-def test_qubit_factorize_negative_lambda1_rejected():
-    # q_1 = -1 falls outside the damping coefficient range [0, 1]
-    with pytest.raises(UsageError):
-        qubit_factorize(-0.6, 0.6)
-
-
-def test_qubit_factorize_preconditions():
-    with pytest.raises(UsageError):
-        qubit_factorize(0.8, 0.6)
-    with pytest.raises(UsageError):
-        qubit_factorize(0.0, 0.0)
-    with pytest.raises(UsageError):
-        qubit_factorize(0.5, 1.1)
 
 
 # ------------------------------------------------------ mixtures of unitaries
@@ -466,19 +450,6 @@ def test_depolarizing_equals_weyl_mixture():
     assert choi_distance(c, depolarizing(l, p)) < 1e-12
 
 
-def test_mixture_rejects_non_unitary():
-    with pytest.raises(ValidationError):
-        mixture_of_unitaries([1.0], [np.array([[1.0, 0.0], [0.0, 0.5]])])
-
-
-def test_mixture_weight_validation():
-    u = np.eye(2)
-    with pytest.raises(ValidationError):
-        mixture_of_unitaries([0.5, 0.6], [u, u])
-    with pytest.raises(ValidationError):
-        mixture_of_unitaries([1.5, -0.5], [u, u])
-
-
 def test_mixture_is_unital():
     us = [random_unitary(2, seed=s) for s in range(3)]
     checks = structural_checks(mixture_of_unitaries([0.2, 0.3, 0.5], us))
@@ -486,29 +457,30 @@ def test_mixture_is_unital():
 
 
 # ------------------------------------------------------ conditional expectation
+# The uniform conjugation average over a family, as the verify claims apply it.
 
 
 def test_conditional_expectation_phases_extracts_diagonal():
     system = weyl.weyl_system(3)
-    e = conditional_expectation(weyl.phase_subgroup(system))
     x = random_density(3, 3, seed=24).matrix
-    assert np.abs(e.apply_matrix(x) - np.diag(np.diag(x))).max() < 1e-12
+    out = _family_average(weyl.phase_subgroup(system), x)
+    assert np.abs(out - np.diag(np.diag(x))).max() < 1e-12
 
 
 def test_conditional_expectation_shifts_circulant():
     system = weyl.weyl_system(2)
-    e = conditional_expectation(weyl.diagonal_subgroup(system, 0))
-    out = e.apply_matrix(np.diag([1.0, 0.0]).astype(complex))
+    out = _family_average(weyl.diagonal_subgroup(system, 0), np.diag([1.0, 0.0]).astype(complex))
     assert np.abs(out - np.eye(2) / 2).max() < 1e-13
 
 
 def test_conditional_expectation_idempotent():
     system = weyl.weyl_system(3)
     for family in weyl.all_order_l_subgroups(system):
-        e = conditional_expectation(family)
-        assert choi_distance(e, e.compose(e)) <= 1e-11
-        checks = structural_checks(e)
-        assert checks.unital and checks.trace_preserving
+        assert np.abs(_family_average(family, np.eye(3, dtype=complex)) - np.eye(3)).max() <= 1e-12
+        for unit in matrix_units(3):
+            once = _family_average(family, unit)
+            assert np.abs(_family_average(family, once) - once).max() <= 1e-12
+            assert abs(np.trace(once) - np.trace(unit)) <= 1e-12
 
 
 # ------------------------------------------------------------------ eq9 / eq12
@@ -615,9 +587,8 @@ def test_channel_immutable():
 
 def test_conditional_expectation_shift_average_is_circulant():
     system = weyl.weyl_system(3)
-    e = conditional_expectation(weyl.diagonal_subgroup(system, 0))
     x = random_density(3, 3, seed=25).matrix
-    out = e.apply_matrix(x)
+    out = _family_average(weyl.diagonal_subgroup(system, 0), x)
     for d in range(3):
         diag = [out[j, (j + d) % 3] for j in range(3)]
         assert max(abs(v - diag[0]) for v in diag) < 1e-12

@@ -15,7 +15,8 @@ from qchan import cli
 from qchan.cli import RunConfig, main
 from qchan.fileio import load_channel, save_channel, save_state
 from qchan.channels import depolarizing, kraus_channel, phase_damping
-from qchan.states import random_density
+
+from helpers import random_density
 
 
 def run_cli(args, tmp_path, name="report.json"):

@@ -13,12 +13,12 @@ from qchan.channels import (
     depolarizing,
     gram_matrix,
     phase_damping,
-    random_channel,
     structural_checks,
 )
 from qchan.optimize import GRAD_FLOOR, entropy_gradient
 from qchan.rng import substream
-from qchan.states import random_pure
+
+from helpers import random_channel, random_pure
 
 TOL = 1e-12
 
@@ -145,6 +145,17 @@ def test_structural_checks(case):
         assert abs(checks.tp_residual - tp) <= TOL * d * max(1.0, tp)
         assert abs(checks.unitality_residual - unital) <= TOL * d * max(1.0, unital)
         assert abs(checks.choi_min_eigenvalue - choi_min) <= TOL * d * d
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (3, 2), (3, 7), (4, 16), (5, 3)])
+def test_unitality_matches_the_adjoint_gram(d, m):
+    # Sum_k K_k K_k* is also the Gram matrix of the adjoint stack {K_k*}.
+    c = _channel(d, m)
+    eye = np.eye(d)
+    for ops in (c.ops, 1.1 * c.ops):
+        want = float(np.linalg.norm(gram_matrix(ops.conj().transpose(0, 2, 1)) - eye))
+        got = structural_checks(ops).unitality_residual
+        assert abs(got - want) <= TOL * d * max(1.0, want)
 
 
 def _xi(l):

@@ -3,10 +3,12 @@ import pytest
 
 from qchan import channels as channels_mod
 from qchan import fileio
-from qchan.channels import choi_distance, depolarizing, phase_damping, random_channel
+from qchan.channels import choi_distance, depolarizing, phase_damping
 from qchan.errors import CapacityError, NotPositiveError, ValidationError
 from qchan.fileio import ParseError, load_channel, load_state, save_channel, save_state
-from qchan.states import density_from_matrix, random_density
+from qchan.states import density_from_matrix
+
+from helpers import random_channel, random_density
 
 
 def test_state_roundtrip_exact(tmp_path):

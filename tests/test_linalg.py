@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qchan import linalg
-from qchan.errors import NotPositiveError, NumericalError, UsageError, ValidationError
-from qchan.states import random_unitary
+from qchan.errors import NotPositiveError, UsageError, ValidationError
+
+from helpers import random_unitary
 
 rng = np.random.default_rng(20260809)
 
@@ -163,35 +164,6 @@ def test_as_complex_matrix_rejects_nonfinite(bad):
     m[1, 0] = bad
     with pytest.raises(ValidationError, match="finite"):
         linalg.as_complex_matrix(m)
-
-
-def test_matrix_function_identity_rule():
-    a = rand_hermitian(4)
-    out = linalg.matrix_function_hermitian(a, lambda v: v)
-    assert np.linalg.norm(out - a) <= 1e-12 * np.linalg.norm(a) * 4
-
-
-def test_matrix_function_log():
-    out = linalg.matrix_function_hermitian(np.diag([1.0, np.e]), np.log)
-    assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-14)
-
-
-def test_matrix_function_square_matches_product():
-    a = rand_hermitian(4)
-    out = linalg.matrix_function_hermitian(a, lambda v: v ** 2)
-    assert np.abs(out - a @ a).max() < 1e-12
-
-
-def test_matrix_function_trace_identity():
-    a = rand_hermitian(4)
-    values = np.linalg.eigvalsh(a)
-    out = linalg.matrix_function_hermitian(a, np.exp)
-    assert abs(np.trace(out).real - np.exp(values).sum()) < 1e-12 * 4
-
-
-def test_matrix_function_undefined_value():
-    with pytest.raises(NumericalError):
-        linalg.matrix_function_hermitian(np.diag([-1.0, 1.0]), np.log)
 
 
 def test_clamp_spectrum():

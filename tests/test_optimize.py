@@ -9,7 +9,6 @@ from qchan.channels import (
     pauli_qubit,
     phase_damping,
     pure_output,
-    random_channel,
 )
 from qchan.entropy import entropy_of_spectrum
 from qchan.errors import UsageError
@@ -28,13 +27,19 @@ from qchan.optimize import (
     gradient_fd_error,
     max_output_purity,
     min_output_entropy,
-    output_entropy,
 )
 from qchan.rng import substream
-from qchan.states import random_pure, random_pure_from
+from qchan.states import random_pure_from
 from qchan.verify import depolarizing_entropy_constant
 
+from helpers import random_channel, random_pure
+
 H_75_25 = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
+
+
+def output_entropy(c, psi):
+    """S(c(|psi><psi|)) in nats, as the optimizer's objective computes it."""
+    return entropy_of_spectrum(np.linalg.eigvalsh(c.apply_pure(psi)))
 
 
 def test_output_entropy_identity_is_zero():

@@ -1,0 +1,73 @@
+"""Every name ``qchan`` exports has a caller in the program or the benchmark.
+
+A name counts as called when some module of ``src/qchan`` or ``perfbench/``
+uses it outside its own definition and outside the package's ``__init__``:
+as a name, as an attribute, or as a dotted identifier string, the form in
+which the benchmark's tracer names what it patches.  Tests do not count.
+"""
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qchan"
+
+# Exported names that need no caller, one reason each.
+ALLOWED = {
+    "QchanError": "base class of every qchan error, for callers to catch",
+    "CapacityError": "error class, raised rather than called",
+    "NotCompletelyPositiveError": "error class, raised rather than called",
+    "NotPositiveError": "error class, raised rather than called",
+    "NumericalError": "error class, raised rather than called",
+    "StructureError": "error class, raised rather than called",
+    "UsageError": "error class, raised rather than called",
+    "ValidationError": "error class, raised rather than called",
+    "holevo_chi": "the witness side of the two-sided capacity check planned in ROADMAP.md",
+    "StateEnsemble": "the input of holevo_chi",
+}
+
+IDENTIFIER = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def exported_names() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def used_names(node: ast.AST) -> set[str]:
+    """Names, attributes and dotted identifier strings under ``node``."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and IDENTIFIER.fullmatch(sub.value):
+            used.update(sub.value.split("."))
+    return used
+
+
+def called_names() -> set[str]:
+    """Names used by the program and the benchmark, each outside its own top-level definition."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    called = set()
+    for path in files:
+        for node in ast.parse(path.read_text()).body:
+            used = used_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                used.discard(node.name)
+            called |= used
+    return called
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    called = called_names()
+    uncalled = [name for name in exported_names() if name not in called and name not in ALLOWED]
+    assert uncalled == []
+
+
+def test_allowlist_names_only_exports():
+    assert set(ALLOWED) <= set(exported_names())

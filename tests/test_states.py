@@ -3,6 +3,9 @@ import pytest
 
 from qchan import states
 from qchan.errors import NotPositiveError, UsageError, ValidationError
+from qchan.rng import substream
+
+from helpers import maximally_mixed, random_density, random_pure, random_unitary
 
 
 def test_density_accepts_maximally_mixed():
@@ -39,7 +42,7 @@ def test_density_rejects_non_hermitian():
 
 
 def test_density_roundtrip_validation():
-    rho = states.random_density(3, 2, seed=5)
+    rho = random_density(3, 2, seed=5)
     again = states.density_from_matrix(rho.matrix)
     assert np.abs(again.matrix - rho.matrix).max() < 1e-14
 
@@ -56,7 +59,7 @@ def test_pure_to_density_plus_state():
 
 
 def test_pure_to_density_idempotent_and_pure():
-    psi = states.random_pure(4, seed=9)
+    psi = random_pure(4, seed=9)
     rho = states.pure_to_density(psi)
     assert np.abs(rho.matrix @ rho.matrix - rho.matrix).max() < 1e-12
     assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) < 1e-12
@@ -80,15 +83,15 @@ def test_pure_state_rejects_nonfinite(bad):
 
 
 def test_random_pure_dim_one():
-    psi = states.random_pure(1, seed=3)
+    psi = random_pure(1, seed=3)
     assert abs(abs(psi.amplitudes[0]) - 1.0) < 1e-12
 
 
 def test_random_pure_deterministic():
-    a = states.random_pure(4, seed=11)
-    b = states.random_pure(4, seed=11)
+    a = random_pure(4, seed=11)
+    b = random_pure(4, seed=11)
     assert np.array_equal(a.amplitudes, b.amplitudes)
-    c = states.random_pure(4, seed=12)
+    c = random_pure(4, seed=12)
     assert not np.array_equal(a.amplitudes, c.amplitudes)
 
 
@@ -97,42 +100,42 @@ def test_random_pure_haar_moment():
     n = 10_000
     vals = np.empty(n)
     for i in range(n):
-        psi = states.random_pure_from(states.substream(123, i), 2)
+        psi = states.random_pure_from(substream(123, i), 2)
         vals[i] = abs(psi.amplitudes[0]) ** 2
     se = np.sqrt(1.0 / 12.0 / n)
     assert abs(vals.mean() - 0.5) < max(3 * se, 0.02)
 
 
 def test_random_density_rank_one_is_pure():
-    rho = states.random_density(3, 1, seed=2)
+    rho = random_density(3, 1, seed=2)
     assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) < 1e-12
 
 
 def test_random_density_full_rank():
-    rho = states.random_density(3, 3, seed=2)
+    rho = random_density(3, 3, seed=2)
     assert np.linalg.eigvalsh(rho.matrix).min() > 0.0
 
 
 def test_random_density_deterministic():
-    a = states.random_density(3, 2, seed=4)
-    b = states.random_density(3, 2, seed=4)
+    a = random_density(3, 2, seed=4)
+    b = random_density(3, 2, seed=4)
     assert np.array_equal(a.matrix, b.matrix)
 
 
 def test_random_density_rank_out_of_range():
     with pytest.raises(UsageError):
-        states.random_density(3, 4, seed=0)
+        random_density(3, 4, seed=0)
     with pytest.raises(UsageError):
-        states.random_density(3, 0, seed=0)
+        random_density(3, 0, seed=0)
 
 
 def test_random_unitary_is_unitary():
-    u = states.random_unitary(4, seed=8)
+    u = random_unitary(4, seed=8)
     assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
 
 
 def test_ensemble_validation():
-    rho = states.maximally_mixed(2)
+    rho = maximally_mixed(2)
     ens = states.StateEnsemble((0.5, 0.5), (rho, rho))
     assert ens.dim == 2
     with pytest.raises(ValidationError):
@@ -140,13 +143,13 @@ def test_ensemble_validation():
     with pytest.raises(ValidationError):
         states.StateEnsemble((1.5, -0.5), (rho, rho))
     with pytest.raises(ValidationError):
-        states.StateEnsemble((0.5, 0.5), (rho, states.maximally_mixed(3)))
+        states.StateEnsemble((0.5, 0.5), (rho, maximally_mixed(3)))
 
 
 def test_states_are_immutable():
-    rho = states.random_density(2, 2, seed=1)
+    rho = random_density(2, 2, seed=1)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
-    psi = states.random_pure(2, seed=1)
+    psi = random_pure(2, seed=1)
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0

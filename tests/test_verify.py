@@ -7,23 +7,12 @@ import pytest
 
 from qchan import cli, weyl
 from qchan import verify as verify_mod
-from qchan.channels import (
-    depolarizing,
-    identity_channel,
-    mixture_of_unitaries,
-    phase_damping,
-)
+from qchan.channels import depolarizing, identity_channel, phase_damping
 from qchan.entropy import relative_entropy_nats
 from qchan.errors import UsageError
 from qchan.linalg import partial_trace
-from qchan.states import (
-    PureState,
-    density_from_matrix,
-    maximally_mixed,
-    pure_to_density,
-    random_density,
-    random_pure,
-)
+from qchan.optimize import OptimizationResult
+from qchan.states import PureState, density_from_matrix, pure_to_density
 from qchan.rng import substream
 from qchan.verify import (
     check_additivity,
@@ -37,10 +26,6 @@ from qchan.verify import (
     gradient_suite,
     intertwining_residuals,
     monotonicity_suite,
-    prop1_report,
-    prop2_report,
-    prop3_report,
-    random_mixed_marginal_state,
     resolution_residual,
     verify_prop1,
     verify_prop2,
@@ -48,6 +33,16 @@ from qchan.verify import (
     verify_prop4,
     verify_theorem,
     worst_over,
+)
+
+from helpers import (
+    maximally_mixed,
+    mixture_of_unitaries,
+    prop3_check,
+    random_density,
+    random_mixed_marginal_state,
+    random_pure,
+    random_unitary,
 )
 
 
@@ -136,20 +131,26 @@ def test_check_eq12_diagnostic_never_fails():
 # ---------------------------------------------------------------------- prop1
 
 
+def prop1_check(system, lam, eps, x, dim_k):
+    """prop1 on one state x with weight vectors lam and eps."""
+    lam, eps = np.array([lam], dtype=float), np.array([eps], dtype=float)
+    return verify_mod._prop1_scores(system, lam, eps, x.matrix[None], dim_k).check(0)
+
+
 def test_prop1_degenerate_epsilon_margin_zero():
     system = weyl.weyl_system(2)
     rng = substream(8)
     lam = rng.dirichlet(np.ones(2))
     eps = np.array([1.0, 0.0])  # concentrated on the unit element
     x = random_density(4, 2, seed=9)
-    rep = prop1_report(system, lam, eps, x, dim_k=2)
+    rep = prop1_check(system, lam, eps, x, dim_k=2)
     assert abs(rep.margin) <= 1e-10
 
 
 def test_prop1_uniform_weights_random_pure():
     system = weyl.weyl_system(2)
     x = pure_to_density(random_pure(4, seed=10))
-    rep = prop1_report(system, [0.5, 0.5], [0.5, 0.5], x, dim_k=2)
+    rep = prop1_check(system, [0.5, 0.5], [0.5, 0.5], x, dim_k=2)
     assert rep.margin >= -1e-9
     assert rep.passed
 
@@ -159,23 +160,19 @@ def test_prop1_batch():
     assert rep.passed and rep.margin >= -1e-9
 
 
-def test_prop1_malformed_weights():
-    system = weyl.weyl_system(2)
-    x = random_density(4, 2, seed=12)
-    with pytest.raises(UsageError):
-        prop1_report(system, [0.9, 0.2], [0.5, 0.5], x, dim_k=2)
-    with pytest.raises(UsageError):
-        prop1_report(system, [0.5, 0.5], [0.5], x, dim_k=2)
-
-
 # ---------------------------------------------------------------------- prop2
+
+
+def prop2_check(family, lam, x, dim_k):
+    """prop2 on one state x with weight vector lam."""
+    return verify_mod._prop2_scores(family, np.array([lam], dtype=float), x.matrix[None], dim_k).check(0)
 
 
 def test_prop2_maximally_mixed_closed_form():
     system = weyl.weyl_system(2)
     family = weyl.phase_subgroup(system)
     x = maximally_mixed(4)
-    rep = prop2_report(family, [0.5, 0.5], x, dim_k=2)
+    rep = prop2_check(family, [0.5, 0.5], x, dim_k=2)
     assert rep.lhs == pytest.approx(math.log(4), abs=1e-12)
     assert rep.margin == pytest.approx(0.0, abs=1e-10)
 
@@ -186,7 +183,7 @@ def test_prop2_random_pure():
     rng = substream(13)
     lam = rng.dirichlet(np.ones(2))
     x = pure_to_density(random_pure(4, seed=14))
-    rep = prop2_report(family, lam, x, dim_k=2)
+    rep = prop2_check(family, lam, x, dim_k=2)
     assert rep.margin >= -1e-9
 
 
@@ -194,7 +191,7 @@ def test_prop2_concentrated_weights():
     system = weyl.weyl_system(3)
     family = weyl.diagonal_subgroup(system, 1)
     x = pure_to_density(random_pure(9, seed=15))
-    rep = prop2_report(family, [1.0, 0.0, 0.0], x, dim_k=3)
+    rep = prop2_check(family, [1.0, 0.0, 0.0], x, dim_k=3)
     assert rep.margin >= -1e-9
 
 
@@ -210,7 +207,7 @@ def test_prop3_product_state_margin():
     l, p = 2, 0.5
     sigma = random_density(2, 2, seed=17)
     x = density_from_matrix(np.kron(np.eye(l) / l, sigma.matrix))
-    rep = prop3_report(l, p, x, dim_k=2)
+    rep = prop3_check(l, p, x, dim_k=2)
     # rho recovers sigma, so the margin is exactly log l - h(p, l)
     expected = math.log(l) - depolarizing_entropy_constant(l, p)
     assert rep.margin == pytest.approx(expected, abs=1e-9)
@@ -220,27 +217,27 @@ def test_prop3_product_state_margin():
 def test_prop3_constructive_random():
     rng = substream(18)
     x = random_mixed_marginal_state(rng, 2, 2)
-    rep = prop3_report(2, 0.5, x, dim_k=2)
+    rep = prop3_check(2, 0.5, x, dim_k=2)
     assert rep.passed and rep.margin >= -1e-9
 
 
 def test_prop3_constructive_rejects_generic_marginal():
     x = pure_to_density(random_pure(4, seed=19))  # generic marginal, not I/2
     with pytest.raises(UsageError, match="search"):
-        prop3_report(2, 0.5, x, dim_k=2)
+        prop3_check(2, 0.5, x, dim_k=2)
 
 
 def test_prop3_search_mode():
     rng = substream(20)
     x = random_mixed_marginal_state(rng, 2, 2)
-    rep = prop3_report(2, 0.5, x, dim_k=2, mode="search", search_count=50, seed=20)
+    rep = prop3_check(2, 0.5, x, dim_k=2, mode="search", search_count=50, seed=20)
     assert rep.passed and rep.margin >= -1e-9
 
 
 def test_prop3_search_mode_no_candidates():
     sigma = random_density(2, 1, seed=21)
     x = density_from_matrix(np.kron(np.diag([0.9, 0.1]), sigma.matrix))
-    rep = prop3_report(2, 0.5, x, dim_k=2, mode="search", search_count=20, seed=21)
+    rep = prop3_check(2, 0.5, x, dim_k=2, mode="search", search_count=20, seed=21)
     assert not rep.passed
     assert rep.witness["candidates_kept"] == 0
 
@@ -335,23 +332,36 @@ def test_additivity_depolarizing():
 def test_multiplicativity_identity():
     rep = check_multiplicativity(identity_channel(2), identity_channel(2), 2.0,
                                  restarts=3, seed=30)
-    assert rep.norm_joint == pytest.approx(1.0, abs=1e-9)
+    assert rep.lhs == pytest.approx(1.0, abs=1e-9)
     assert rep.passed
 
 
 def test_multiplicativity_depolarizing():
     c = depolarizing(2, 0.5)
     rep = check_multiplicativity(c, c, 2.0, restarts=8, seed=31)
-    assert rep.norm_a == pytest.approx(math.sqrt(0.625), abs=1e-9)
-    assert abs(rep.deviation) <= 1e-5
+    assert rep.witness["norm_a"] == pytest.approx(math.sqrt(0.625), abs=1e-9)
+    assert abs(rep.margin) <= 1e-5
+
+
+@pytest.mark.parametrize("offset", [-2e-5, -5e-6, 5e-6, 2e-5])
+def test_multiplicativity_verdict_is_two_sided(monkeypatch, offset):
+    # Norms 0.8 and 0.8 against a joint norm of 0.64 + offset.
+    def fake_pair_search(a, b, search, restarts, seed, max_iter, grad_tol):
+        state = PureState(np.array([1.0, 0.0]))
+        return [OptimizationResult(v, state, restarts, 0, True, 0.0) for v in (0.64, 0.64, (0.64 + offset) ** 2)]
+
+    monkeypatch.setattr(verify_mod, "_pair_search", fake_pair_search)
+    rep = check_multiplicativity(identity_channel(2), identity_channel(2), 2.0, restarts=3, seed=4)
+    assert rep.margin == pytest.approx(offset, abs=1e-12)
+    assert rep.passed == (abs(offset) <= 1e-5)
+    assert list(rep.witness) == ["p", "norm_a", "norm_b", "restarts"]
+    assert (rep.claim_id, rep.units, rep.seed, rep.tolerance) == ("multiplicativity", "dimensionless", 4, 1e-5)
 
 
 # -------------------------------------------------------------------- suites
 
 
 def test_monotonicity_unitary_conjugation_margin_zero():
-    from qchan.states import random_unitary
-
     c = mixture_of_unitaries([1.0], [random_unitary(2, seed=32)])
     rep = monotonicity_suite(c, pairs=50, seed=33)
     assert rep.passed

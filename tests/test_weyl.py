@@ -3,7 +3,8 @@ import pytest
 
 from qchan import weyl
 from qchan.errors import UsageError, ValidationError
-from qchan.states import random_density, random_unitary
+
+from helpers import random_density, random_unitary
 
 
 def test_qubit_generators():
@@ -25,9 +26,11 @@ def test_unitaries_are_unitary():
 
 
 def test_irreducibility_witness():
+    # An irreducible system twirls every operator to Tr(x)/l I.
     system = weyl.weyl_system(3)
     x = random_density(3, 3, seed=17).matrix
-    assert weyl.irreducibility_residual(system, x) <= 1e-12
+    twirl = sum(u @ x @ u.conj().T for u in system.unitaries.values()) / 9
+    assert np.linalg.norm(twirl - np.trace(x) / 3 * np.eye(3)) <= 1e-12
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
