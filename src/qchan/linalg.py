@@ -9,7 +9,6 @@ Conventions used throughout the package:
 - Kronecker products map the composite index pair ``(i_a, i_b)`` to
   ``i_a * dim_b + i_b`` (numpy order) -- every cross-module matrix equality
   relies on this;
-- the default Frobenius comparison scale is ``FROB_TOL_SCALE * dim * ||A||_F``;
 - eigenvalues of nominally-PSD matrices in ``[-EIG_CLAMP_TOL, 0)`` are treated
   as roundoff and clamped to zero, anything lower is an error;
 - entropy-class scalar functions use the convention ``0 * log 0 = 0``.
@@ -22,7 +21,6 @@ import numpy as np
 
 from .errors import NotPositiveError, NumericalError, UsageError, ValidationError
 
-FROB_TOL_SCALE = 1e-12
 HERMITICITY_RTOL = 1e-10
 EIG_CLAMP_TOL = 1e-10
 TRACE_TOL = 1e-10

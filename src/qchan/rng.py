@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Named, versioned generator backing all sampling in this package.
-BIT_GENERATOR = "PCG64"
-
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for the stream keyed by ``(seed, *path)``."""

@@ -2,9 +2,9 @@
 
 Each ``random_*_from`` sampler draws from the generator it is given, so a
 batch driver passes each task its own substream (PCG64, see
-:mod:`qchan.rng`) and gets the same draws for the same seed.  ``random_state_matrix_from`` returns the
-unvalidated matrix, so a batch driver can validate a whole stack of draws with
-one ``density_from_matrix`` call.
+:mod:`qchan.rng`) and gets the same draws for the same seed.
+``random_state_matrix_from`` returns the unvalidated matrix, so a batch driver
+can validate a whole stack of draws with one ``density_from_matrix`` call.
 """
 from __future__ import annotations
 

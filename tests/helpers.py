@@ -45,7 +45,8 @@ def maximally_mixed(dim):
 
 def mixture_of_unitaries(weights, unitaries):
     """The channel Sum_g w_g U_g x U_g*."""
-    return kraus_channel([math.sqrt(w) * np.asarray(u, dtype=complex) for w, u in zip(weights, unitaries) if w > 0])
+    return kraus_channel([math.sqrt(w) * np.asarray(u, dtype=complex)
+                          for w, u in zip(weights, unitaries) if w > 0])
 
 
 def prop3_check(l, p, x, dim_k, mode="constructive", search_count=200, seed=None):

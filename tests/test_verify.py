@@ -348,14 +348,16 @@ def test_multiplicativity_verdict_is_two_sided(monkeypatch, offset):
     # Norms 0.8 and 0.8 against a joint norm of 0.64 + offset.
     def fake_pair_search(a, b, search, restarts, seed, max_iter, grad_tol):
         state = PureState(np.array([1.0, 0.0]))
-        return [OptimizationResult(v, state, restarts, 0, True, 0.0) for v in (0.64, 0.64, (0.64 + offset) ** 2)]
+        values = (0.64, 0.64, (0.64 + offset) ** 2)
+        return [OptimizationResult(v, state, restarts, 0, True, 0.0) for v in values]
 
     monkeypatch.setattr(verify_mod, "_pair_search", fake_pair_search)
     rep = check_multiplicativity(identity_channel(2), identity_channel(2), 2.0, restarts=3, seed=4)
     assert rep.margin == pytest.approx(offset, abs=1e-12)
     assert rep.passed == (abs(offset) <= 1e-5)
     assert list(rep.witness) == ["p", "norm_a", "norm_b", "restarts"]
-    assert (rep.claim_id, rep.units, rep.seed, rep.tolerance) == ("multiplicativity", "dimensionless", 4, 1e-5)
+    assert (rep.claim_id, rep.units, rep.seed) == ("multiplicativity", "dimensionless", 4)
+    assert rep.tolerance == 1e-5
 
 
 # -------------------------------------------------------------------- suites
