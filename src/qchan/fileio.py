@@ -8,9 +8,14 @@ Format (one matrix row per line, ``#`` starts a comment, blank lines ignored)::
     0:0, 0.70710678118654752:0
 
 A state file holds one dim x dim matrix; a channel file holds ``kraus`` many,
-stacked.  Floats are written with 17 significant digits, so save/load round
-trips are bit-faithful.  A header ``dim`` above ``channels.DIM_CAP`` is
-refused before any row is read.
+stacked.  ``save_channel`` streams the rows to the file in chunks of at most
+``CHUNK_BYTES`` of text, so its memory is bounded by one chunk.  A pair of
+signed zeros takes its text (``0:0``, ``0:-0``, ``-0:0`` or ``-0:-0``) from a
+table; every other entry goes through ``%.17g:%.17g``, which prints the same
+text for those zeros.  A file is therefore byte for byte what formatting every
+entry gives, and a save/load round trip is bit-faithful.  The reader works in
+chunks too.  A header ``dim`` above ``channels.DIM_CAP`` is refused before any
+row is read.
 """
 from __future__ import annotations
 
@@ -91,9 +96,9 @@ def _parse_row(lineno: int, line: str, dim: int) -> np.ndarray:
     return row
 
 
-#: Rows are converted in chunks of about this many bytes of text, so the
-#: per-token arrays of one chunk stay small however large the file is.
-PARSE_CHUNK_BYTES = 64 * 1024
+#: Rows are read and written in chunks of about this many bytes of text, so
+#: the per-token arrays of one chunk stay small however large the file is.
+CHUNK_BYTES = 64 * 1024
 
 _COLON, _COMMA, _NEWLINE, _SPACE, _MINUS, _ZERO = (ord(c) for c in ":,\n -0")
 
@@ -137,7 +142,7 @@ def _parse_chunk(text: str, dim: int, rows: int) -> np.ndarray | None:
 def _parse_matrices(text: str, expect_kraus: bool) -> np.ndarray:
     """The (kraus, dim, dim) stack of a state or channel file's text.
 
-    Rows are read in chunks of about ``PARSE_CHUNK_BYTES``; a chunk that
+    Rows are read in chunks of about ``CHUNK_BYTES``; a chunk that
     ``_parse_chunk`` cannot take whole is read row by row, so an error keeps
     its line and column.
     """
@@ -157,7 +162,7 @@ def _parse_matrices(text: str, expect_kraus: bool) -> np.ndarray:
             _parse_row(lineno, line, dim)
     stack = np.empty((count, dim, dim), dtype=complex)
     flat = stack.reshape(needed, dim)
-    per_chunk = max(1, PARSE_CHUNK_BYTES // (max(lengths) + 1))
+    per_chunk = max(1, CHUNK_BYTES // (max(lengths) + 1))
     for first in range(0, needed, per_chunk):
         chunk = rows[first:first + per_chunk]
         values = _parse_chunk("\n".join([line for _, line in chunk]) + "\n", dim, len(chunk))
@@ -179,17 +184,34 @@ def load_channel(path: str | Path) -> KrausChannel:
     return kraus_channel(_parse_matrices(Path(path).read_text(), expect_kraus=True))
 
 
-def _format_matrix(m: np.ndarray) -> str:
-    template = ", ".join(["%.17g:%.17g"] * m.shape[1])
-    # Each row as Python floats re, im, re, im, ...: one template fill per row.
-    pairs = np.ascontiguousarray(m, dtype=complex).view(float).tolist()
-    return "\n".join(template % tuple(row) for row in pairs)
+#: The text of a pair of signed zeros, indexed by 2 * signbit(re) + signbit(im):
+#: what ``%.17g:%.17g`` prints for them.
+_ZERO_PAIRS = np.array(["0:0", "0:-0", "-0:0", "-0:-0"], dtype=object)
 
 
-def save_state(path: str | Path, rho: DensityMatrix) -> None:
-    Path(path).write_text(f"dim {rho.dim}\n{_format_matrix(rho.matrix)}\n")
+def _write_rows(file, stack: np.ndarray) -> None:
+    """Write each row of ``stack`` (..., dim) to ``file``, ended by a newline.
+
+    A pair of signed zeros takes its text from ``_ZERO_PAIRS``; every other
+    entry goes through ``%.17g:%.17g``.  Rows are formatted and written in
+    chunks of at most ``CHUNK_BYTES`` of text.
+    """
+    dim = stack.shape[-1]
+    rows = stack.reshape(-1, dim)
+    # An entry and its ", " take at most 51 bytes: 24 per part, as in
+    # -2.2250738585072014e-308.
+    per_chunk = max(1, CHUNK_BYTES // (51 * dim))
+    for first in range(0, len(rows), per_chunk):
+        floats = np.ascontiguousarray(rows[first:first + per_chunk], dtype=complex).view(float)
+        re_, im = floats[:, 0::2], floats[:, 1::2]
+        texts = _ZERO_PAIRS[2 * np.signbit(re_) + np.signbit(im)]
+        nonzero = np.flatnonzero((re_ != 0) | (im != 0))
+        texts.flat[nonzero] = ["%.17g:%.17g" % (a, b) for a, b in floats.reshape(-1, 2)[nonzero].tolist()]
+        file.write("\n".join(map(", ".join, texts.tolist())) + "\n")
 
 
 def save_channel(path: str | Path, c: KrausChannel) -> None:
-    blocks = "\n".join(_format_matrix(k) for k in c.ops)
-    Path(path).write_text(f"dim {c.dim}\nkraus {c.ops.shape[0]}\n{blocks}\n")
+    """Write a channel file, streaming its rows chunk by chunk."""
+    with open(path, "w") as file:
+        file.write(f"dim {c.dim}\nkraus {c.ops.shape[0]}\n")
+        _write_rows(file, c.ops)

@@ -1,4 +1,4 @@
-"""Seeded samplers and small reference constructions shared by the tests.
+"""Seeded samplers, small reference constructions and a state-file writer shared by the tests.
 
 Each sampler draws from ``substream(seed)``, so one seed gives one sample.
 """
@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from qchan import fileio
 from qchan.channels import depolarizing, identity_channel, kraus_channel, random_channel_from
 from qchan.rng import substream
 from qchan.states import (
@@ -32,6 +33,13 @@ def random_unitary(dim, seed):
 
 def random_channel(dim, kraus_count, seed):
     return random_channel_from(substream(seed), dim, kraus_count)
+
+
+def save_state(path, rho):
+    """Write ``rho`` as a state file: the ``dim`` line, then its rows."""
+    with open(path, "w") as file:
+        file.write(f"dim {rho.dim}\n")
+        fileio._write_rows(file, rho.matrix)
 
 
 def random_mixed_marginal_state(rng, l, dim_k):

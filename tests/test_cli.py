@@ -13,10 +13,10 @@ import pytest
 import qchan
 from qchan import cli
 from qchan.cli import RunConfig, main
-from qchan.fileio import load_channel, save_channel, save_state
+from qchan.fileio import load_channel, save_channel
 from qchan.channels import depolarizing, kraus_channel, phase_damping
 
-from helpers import random_density
+from helpers import random_density, save_state
 
 
 def run_cli(args, tmp_path, name="report.json"):

@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,10 @@ from qchan import channels as channels_mod
 from qchan import fileio
 from qchan.channels import choi_distance, depolarizing, phase_damping
 from qchan.errors import CapacityError, NotPositiveError, ValidationError
-from qchan.fileio import ParseError, load_channel, load_state, save_channel, save_state
+from qchan.fileio import ParseError, load_channel, load_state, save_channel
 from qchan.states import density_from_matrix
 
-from helpers import random_channel, random_density
+from helpers import random_channel, random_density, save_state
 
 
 def test_state_roundtrip_exact(tmp_path):
@@ -106,8 +109,8 @@ def test_random_channel_roundtrip(tmp_path):
     assert choi_distance(load_channel(path), c) == 0.0
 
 
-# Row formatting and parsing take a whole-row fast path; these pin it to the
-# per-entry forms it replaced.
+# Rows are written in chunks (fileio._write_rows) and parsed by a whole-row
+# fast path; these pin both to the per-entry forms they replaced.
 
 
 def _format_reference(m):
@@ -119,6 +122,13 @@ def _parse_reference(line):
     return np.array([complex(float(re_), float(im)) for re_, im in pairs])
 
 
+def _writes(stack):
+    """The text of each write that fileio._write_rows makes for ``stack``."""
+    writes = []
+    fileio._write_rows(SimpleNamespace(write=writes.append), stack)
+    return writes
+
+
 def _awkward_matrix(dim, seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.integers(-300, 300, (dim, dim))
@@ -128,12 +138,51 @@ def _awkward_matrix(dim, seed):
     return m
 
 
+# Each signed-zero pair, a zero beside a nonzero part, subnormals and non-finite parts.
+_SPECIAL_ENTRIES = [complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+                    complex(0.0, 2.5), complex(-3e-7, -0.0), complex(-0.0, 5e-324),
+                    complex(5e-324, -5e-324), complex(np.inf, -np.inf), complex(np.nan, 1.0)]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 5, 9])
-def test_format_matches_per_entry_form(dim):
+def test_format_matches_per_entry_form(monkeypatch, dim):
     m = _awkward_matrix(dim, dim)
-    assert fileio._format_matrix(m) == _format_reference(m)
-    assert fileio._format_matrix(m.T) == _format_reference(m.T)
-    assert fileio._format_matrix(m.real.copy()) == _format_reference(m.real)
+    special = np.array(_SPECIAL_ENTRIES * dim).reshape(-1, dim)
+    for rows in (m, m.T, m.real, special):
+        assert "".join(_writes(rows)) == _format_reference(rows) + "\n"
+    stack = np.array([m, special[:dim], m.T, special[-dim:]])
+    expected = _format_reference(stack.reshape(-1, dim)) + "\n"
+    for chunk_bytes in (fileio.CHUNK_BYTES, 2000, 1):
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", chunk_bytes)
+        writes = _writes(stack)
+        assert "".join(writes) == expected
+        if dim > 1 and chunk_bytes < len(expected):
+            # Some chunk ends inside a Kraus operator.
+            assert any(np.cumsum([w.count("\n") for w in writes]) % dim)
+
+
+@pytest.fixture(scope="module")
+def l5_square():
+    """The l = 5 damped-depolarizing channel's tensor square: 625 operators of size 25."""
+    single = phase_damping(5, (0.3,) * 4).compose(depolarizing(5, 0.2)).reduced()
+    return single.tensor(single).reduced()
+
+
+def test_saved_square_matches_per_entry_form(tmp_path, l5_square):
+    path = tmp_path / "square.txt"
+    save_channel(path, l5_square)
+    expected = "dim 25\nkraus 625\n" + _format_reference(l5_square.ops.reshape(-1, 25)) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_save_channel_memory_is_bounded_by_a_chunk(tmp_path, l5_square):
+    tracemalloc.start()
+    try:
+        save_channel(tmp_path / "square.txt", l5_square)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 9])
@@ -188,8 +237,7 @@ def _assert_same_parse(text, expect_kraus=True):
 
 
 def _channel_text(channel):
-    return f"dim {channel.dim}\nkraus {channel.ops.shape[0]}\n" + "\n".join(
-        fileio._format_matrix(k) for k in channel.ops) + "\n"
+    return f"dim {channel.dim}\nkraus {channel.ops.shape[0]}\n" + "".join(_writes(channel.ops))
 
 
 def test_chunked_parse_comments_blank_lines_and_crlf():
@@ -218,10 +266,10 @@ def test_chunked_parse_signed_zeros_keep_their_sign():
 def test_chunked_parse_many_chunks_matches_per_entry(monkeypatch):
     c = random_channel(5, 60, seed=4)
     text = _channel_text(c)
-    assert len(text) > fileio.PARSE_CHUNK_BYTES
+    assert len(text) > fileio.CHUNK_BYTES
     got = _assert_same_parse(text)
     assert np.array_equal(got, c.ops)
-    monkeypatch.setattr(fileio, "PARSE_CHUNK_BYTES", 300)
+    monkeypatch.setattr(fileio, "CHUNK_BYTES", 300)
     _assert_same_parse(text)
 
 
@@ -234,7 +282,7 @@ def test_chunked_parse_takes_writer_output_whole(monkeypatch, tmp_path):
     def per_entry(*args):
         raise AssertionError("the writer's rows need no per-entry fallback")
 
-    monkeypatch.setattr(fileio, "PARSE_CHUNK_BYTES", 2000)
+    monkeypatch.setattr(fileio, "CHUNK_BYTES", 2000)
     monkeypatch.setattr(fileio, "_parse_row", per_entry)
     again = load_channel(path)
     assert np.array_equal(again.ops.view(np.uint64), square.ops.view(np.uint64))
@@ -247,7 +295,7 @@ def test_chunked_parse_takes_writer_output_whole(monkeypatch, tmp_path):
     ("1:0, 0:١x", "non-numeric"),
 ])
 def test_chunked_parse_error_after_a_chunk_that_passed(monkeypatch, bad, message):
-    monkeypatch.setattr(fileio, "PARSE_CHUNK_BYTES", 40)
+    monkeypatch.setattr(fileio, "CHUNK_BYTES", 40)
     rows = ["1:0, 0:0", "0:0, 1:0"] * 4
     rows[5] = bad
     text = "dim 2\nkraus 4\n" + "\n".join(rows) + "\n"

@@ -1,9 +1,12 @@
-"""Every name ``qchan`` exports has a caller in the program or the benchmark.
+"""Every public name of ``qchan`` has a caller in the program or the benchmark.
 
-A name counts as called when some module of ``src/qchan`` or ``perfbench/``
-uses it outside its own definition and outside the package's ``__init__``:
-as a name, as an attribute, or as a dotted identifier string, the form in
-which the benchmark's tracer names what it patches.  Tests do not count.
+The public names are those ``qchan/__init__.py`` exports and every top-level
+function, class or assigned name of a ``src/qchan`` module that does not
+start with ``_``.  A name counts as called when some module of ``src/qchan``
+or ``perfbench/`` uses it outside its own definition and outside the
+package's ``__init__``: as a name, as an attribute, or as a dotted identifier
+string, the form in which the benchmark's tracer names what it patches.
+Tests do not count.
 """
 import ast
 import re
@@ -12,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qchan"
 
-# Exported names that need no caller, one reason each.
+# Public names that need no caller, one reason each.
 ALLOWED = {
     "QchanError": "base class of every qchan error, for callers to catch",
     "CapacityError": "error class, raised rather than called",
@@ -34,6 +37,23 @@ def exported_names() -> list[str]:
     return [alias.asname or alias.name
             for node in tree.body if isinstance(node, ast.ImportFrom)
             for alias in node.names]
+
+
+def defined_names() -> list[str]:
+    """Names that the modules of ``src/qchan`` define at top level and do not mark private."""
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def public_names() -> set[str]:
+    return set(exported_names()) | set(defined_names())
 
 
 def used_names(node: ast.AST) -> set[str]:
@@ -65,9 +85,9 @@ def called_names() -> set[str]:
 
 def test_every_export_has_a_caller_or_a_reason():
     called = called_names()
-    uncalled = [name for name in exported_names() if name not in called and name not in ALLOWED]
+    uncalled = sorted(name for name in public_names() if name not in called and name not in ALLOWED)
     assert uncalled == []
 
 
 def test_allowlist_names_only_exports():
-    assert set(ALLOWED) <= set(exported_names())
+    assert set(ALLOWED) <= public_names()
