@@ -8,10 +8,21 @@ accepted displacement and y the change in gradient across it (Barzilai &
 Borwein, IMA J. Numer. Anal. 8, 1988), clamped to [BB_STEP_MIN, BB_STEP_MAX].
 The first line search, and any after a step with Re<s,y> <= 0, starts from
 INITIAL_STEP instead.  Backtracking keeps every accepted step a decrease of the
-objective.  Restarts draw independent substreams from (seed, restart index), so
-results are deterministic.  The spectrum is floored at GRAD_FLOOR inside the
-gradient's logarithm; reported values are recomputed with the clamped entropy,
-without the floor.
+objective.  A line search ends without a step once a halved step's whole
+first-order decrease, step * |g|^2, is at or below the float resolution of the
+objective, eps * max(1, |f|): no step that short can show a decrease.
+
+Each descent records why it stopped (``OptimizationResult.stop_reason``):
+``gradient_tol`` when |g| < tol, ``stalled`` after STALL_STEPS steps that each
+improve f by less than STALL_RTOL relative, ``float_resolution`` when a line
+search ends as above, and ``max_iter``.  ``converged`` is true for every
+reason but ``max_iter``: the other three end where the gradient is below tol or
+no further step can lower f at float resolution.
+
+Restarts draw independent substreams from (seed, restart index), so results
+are deterministic.  The spectrum is floored at GRAD_FLOOR inside the gradient's
+logarithm; reported values are recomputed with the clamped entropy, without the
+floor.
 """
 from __future__ import annotations
 
@@ -35,7 +46,9 @@ INITIAL_STEP = 1.0
 # is nearly zero or spoiled by rounding.
 BB_STEP_MIN = 1e-10
 BB_STEP_MAX = 1e10
-MIN_STEP = 1e-18
+# Relative float resolution of the objective: a line search ends once a step's
+# first-order decrease is at most EPS * max(1, |f|).
+EPS = float(np.finfo(float).eps)
 # Stop a restart after this many consecutive steps that each improve the
 # objective by less than STALL_RTOL relative: the iterate is at float
 # resolution of its basin, far below any reported tolerance.
@@ -51,14 +64,19 @@ FD_STEP = 1e-5
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best restart of a sphere optimization."""
+    """Best restart of a sphere optimization, with why its descent stopped."""
 
     value: float
     argmin: PureState
     restarts_used: int
     iterations: int
-    converged: bool
+    stop_reason: str
     gradient_norm_final: float
+
+    @property
+    def converged(self) -> bool:
+        """True unless the descent ran out of iterations."""
+        return self.stop_reason != "max_iter"
 
 
 def _spectral_objective(
@@ -128,20 +146,27 @@ def _descend(
     iterations = 0
     stalled_steps = 0
     step = INITIAL_STEP
-    for _ in range(max_iter):
+    stop_reason = ""
+    while True:
         if gnorm < tol:
+            stop_reason = "gradient_tol"
             break
-        accepted = False
-        while step >= MIN_STEP:
+        if iterations >= max_iter:
+            stop_reason = "max_iter"
+            break
+        resolution = EPS * max(1.0, abs(f))
+        while True:
             cand = amps - step * grad
             cand = cand / np.linalg.norm(cand)
             f_cand = value(cand)
             if f_cand <= f - ARMIJO_C * step * gnorm * gnorm:
-                accepted = True
                 break
             step *= BACKTRACK
-        if not accepted:
-            break  # line search stalled: gradient no longer descends at float precision
+            if step * gnorm * gnorm <= resolution:
+                stop_reason = "float_resolution"
+                break
+        if stop_reason:
+            break
         s = cand - amps
         grad_prev = grad
         amps = cand
@@ -157,12 +182,13 @@ def _descend(
         if f_prev - f < STALL_RTOL * max(1.0, abs(f_prev)):
             stalled_steps += 1
             if stalled_steps >= STALL_STEPS:
+                stop_reason = "stalled"
                 break
         else:
             stalled_steps = 0
     return OptimizationResult(
         value=f, argmin=PureState(amps), restarts_used=1, iterations=iterations,
-        converged=gnorm < tol, gradient_norm_final=gnorm,
+        stop_reason=stop_reason, gradient_norm_final=gnorm,
     )
 
 

@@ -558,10 +558,11 @@ def _pair_search(
     """``search`` on a, on b, and on a (x) b from the product of their optima.
 
     The first joint restart starts from that product, so the joint optimum is
-    never worse than the product of the single-channel ones.
+    never worse than the product of the single-channel ones.  When ``b is a``
+    the search on a stands for b too, so b's result is a's.
     """
     res_a = search(a, restarts, max_iter, grad_tol, seed, seed_path=(1,))
-    res_b = search(b, restarts, max_iter, grad_tol, seed, seed_path=(2,))
+    res_b = res_a if b is a else search(b, restarts, max_iter, grad_tol, seed, seed_path=(2,))
     product = PureState(np.kron(res_a.argmin.amplitudes, res_b.argmin.amplitudes))
     res_joint = search(a.tensor(b).reduced(), restarts, max_iter, grad_tol, seed,
                        initial_states=(product,), seed_path=(3,))
@@ -580,7 +581,8 @@ def check_additivity(
 
     The joint search starts from the product of the single-channel minimizers
     (``_pair_search``), so the reported gap can only exceed -(optimizer
-    tolerance).
+    tolerance).  When ``b is a`` the channel is searched once, and the
+    witness's ``s_min_b`` and ``converged[1]`` repeat a's.
     """
     res_a, res_b, res_joint = _pair_search(a, b, min_output_entropy, restarts, seed, max_iter, grad_tol)
     gap = res_joint.value - (res_a.value + res_b.value)

@@ -17,10 +17,12 @@ from qchan.optimize import (
     BACKTRACK,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    EPS,
     GRAD_FLOOR,
-    MIN_STEP,
     STALL_RTOL,
     STALL_STEPS,
+    OptimizationResult,
+    _descend,
     _entropy_objective,
     _purity_objective,
     entropy_gradient,
@@ -177,6 +179,48 @@ def test_descent_objective_monotone_per_accepted_step():
     assert (diffs <= 1e-12).all()
 
 
+def test_descent_ends_line_search_at_float_resolution():
+    # From this start the Armijo demand of the last line search falls below the
+    # float resolution of f while |g| is still just above tol.  Halving that
+    # step on down to 1e-18 costs 494 value and 18 gradient evaluations and
+    # leaves |g| where it was; ending at float resolution costs 9 and 8.
+    p = 0.4024362687342006
+    xi = phase_damping(3, (0.4153328120539328, 0.9172105610445986)).compose(depolarizing(3, p)).reduced()
+    value, value_and_grad = _entropy_objective(xi)
+    calls = []
+
+    def counting(objective):
+        def wrapped(amps):
+            calls.append(objective)
+            return objective(amps)
+        return wrapped
+
+    start = random_pure_from(substream(3418362925, 2, 0), 3).amplitudes
+    res = _descend(counting(value), counting(value_and_grad), start, max_iter=20000, tol=1e-9)
+    assert len(calls) <= 40
+    assert res.value == pytest.approx(depolarizing_entropy_constant(3, p), abs=1e-12)
+    assert res.stop_reason == "float_resolution"
+    assert res.converged
+
+
+def test_descent_out_of_iterations_is_not_converged():
+    value, value_and_grad = _entropy_objective(random_channel(3, 3, seed=15))
+    start = random_pure_from(substream(16), 3).amplitudes
+    res = _descend(value, value_and_grad, start, max_iter=1, tol=1e-9)
+    assert (res.stop_reason, res.iterations, res.converged) == ("max_iter", 1, False)
+
+
+@pytest.mark.parametrize("reason", ["gradient_tol", "stalled", "float_resolution", "max_iter"])
+def test_converged_follows_stop_reason(reason):
+    res = OptimizationResult(0.0, random_pure(2, seed=0), 1, 0, reason, 0.0)
+    assert res.converged == (reason != "max_iter")
+
+
+def test_descent_stops_at_gradient_tol():
+    res = min_output_entropy(identity_channel(3), restarts=1, seed=4)
+    assert res.stop_reason == "gradient_tol" and res.gradient_norm_final < DEFAULT_TOL
+
+
 def test_output_entropy_zero_at_damping_fixed_point():
     from qchan.states import basis_state
 
@@ -198,7 +242,8 @@ def test_min_output_entropy_single_restart_reaches_closed_form(seed):
 
 
 # Reference: the descent with every line search started at step 1.0, with the
-# same Armijo rule, retraction and stall rule as qchan.optimize._descend.
+# same Armijo rule, float-resolution stop, retraction and stall rule as
+# qchan.optimize._descend.
 def fixed_step_descent(value, value_and_grad, start, max_iter, tol):
     amps = start / np.linalg.norm(start)
     f, grad = value_and_grad(amps)
@@ -208,15 +253,16 @@ def fixed_step_descent(value, value_and_grad, start, max_iter, tol):
         if gnorm < tol:
             break
         step = 1.0
-        while step >= MIN_STEP:
+        resolution = EPS * max(1.0, abs(f))
+        while True:
             cand = amps - step * grad
             cand = cand / np.linalg.norm(cand)
             f_cand = value(cand)
             if f_cand <= f - ARMIJO_C * step * gnorm * gnorm:
                 break
             step *= BACKTRACK
-        else:
-            break
+            if step * gnorm * gnorm <= resolution:
+                return f
         amps = cand
         f_prev = f
         f, grad = value_and_grad(amps)

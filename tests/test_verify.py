@@ -329,6 +329,54 @@ def test_additivity_depolarizing():
     assert len(rep.schmidt_coefficients) == 2
 
 
+def _record_searches(monkeypatch, name):
+    """Make verify's ``name`` search append each channel it searches to the returned list."""
+    searched = []
+    search = getattr(verify_mod, name)
+
+    def recording(c, *args, **kwargs):
+        searched.append(c)
+        return search(c, *args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, name, recording)
+    return searched
+
+
+def _damped_l3():
+    return phase_damping(3, (0.5, 0.5)).compose(depolarizing(3, 0.3)).reduced()
+
+
+def test_additivity_searches_a_repeated_channel_once(monkeypatch):
+    c = _damped_l3()
+    searched = _record_searches(monkeypatch, "min_output_entropy")
+    rep = check_additivity(c, c, restarts=1, seed=42)
+    assert len(searched) == 2
+    assert searched[0] is c and searched[1].dim == 9
+    assert rep.s_min_b == rep.s_min_a
+    witness = rep.to_check().witness
+    assert witness["s_min_b"] == witness["s_min_a"]
+    assert witness["converged"][1] == witness["converged"][0]
+    assert rep.passed
+
+
+def test_multiplicativity_searches_a_repeated_channel_once(monkeypatch):
+    c = _damped_l3()
+    searched = _record_searches(monkeypatch, "max_output_purity")
+    rep = check_multiplicativity(c, c, 2.0, restarts=1, seed=42)
+    assert len(searched) == 2
+    assert searched[0] is c and searched[1].dim == 9
+    assert rep.witness["norm_b"] == rep.witness["norm_a"]
+    assert rep.passed
+
+
+def test_additivity_searches_equal_distinct_channels_apart(monkeypatch):
+    a, b = identity_channel(2), identity_channel(2)
+    searched = _record_searches(monkeypatch, "min_output_entropy")
+    assert check_additivity(a, b, restarts=3, seed=28).passed
+    assert len(searched) == 3
+    assert searched[0] is a and searched[1] is b and searched[2].dim == 4
+
+
 def test_multiplicativity_identity():
     rep = check_multiplicativity(identity_channel(2), identity_channel(2), 2.0,
                                  restarts=3, seed=30)
@@ -349,7 +397,7 @@ def test_multiplicativity_verdict_is_two_sided(monkeypatch, offset):
     def fake_pair_search(a, b, search, restarts, seed, max_iter, grad_tol):
         state = PureState(np.array([1.0, 0.0]))
         values = (0.64, 0.64, (0.64 + offset) ** 2)
-        return [OptimizationResult(v, state, restarts, 0, True, 0.0) for v in values]
+        return [OptimizationResult(v, state, restarts, 0, "gradient_tol", 0.0) for v in values]
 
     monkeypatch.setattr(verify_mod, "_pair_search", fake_pair_search)
     rep = check_multiplicativity(identity_channel(2), identity_channel(2), 2.0, restarts=3, seed=4)
