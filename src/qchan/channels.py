@@ -6,6 +6,10 @@ and complete positivity means choi eigenvalues >= -CP_EIG_TOL.  A channel
 builds its Choi matrix only when a distance reads it; applying, composing,
 tensoring, reducing and the structural checks never do.  The checks solve
 the Choi spectrum block by block over the operators' support instead.
+
+A tensor product is a ``ProductChannel``: its pure-state output and its
+adjoint act one factor at a time, and its dense Kraus stack is built only
+when something reads it.
 """
 from __future__ import annotations
 
@@ -95,12 +99,17 @@ class KrausChannel:
         """Choi matrix, shape (dim^2, dim^2), built on first read and read-only."""
         return frozen(choi_matrix(self.ops))
 
+    @functools.cached_property
+    def adjoint_ops(self) -> np.ndarray:
+        """The stack {K_k*}, shape (m, dim, dim), built on first read and read-only."""
+        return frozen(np.ascontiguousarray(dagger(self.ops)))
+
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         """Sum_k K_k x K_k* on an arbitrary operator, or on each of a stack of them."""
         x = as_complex_matrix(x, stack=True)
         if x.shape[-1] != self.dim:
             raise UsageError(f"operator dimension {x.shape[-1]} != channel dimension {self.dim}")
-        adjoint = self.ops.conj().transpose(0, 2, 1)
+        adjoint = self.adjoint_ops
         part = max(1, APPLY_STACK_BYTES // (x.itemsize * self.ops.shape[0] * self.dim ** 2))
         flat = x.reshape(-1, self.dim, self.dim)
         if len(flat) <= part:
@@ -120,29 +129,27 @@ class KrausChannel:
             raise UsageError(f"state dimension {psi.dim} != channel dimension {self.dim}")
         return pure_output(self.ops, psi.amplitudes)
 
-    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
-        """Heisenberg-picture action Sum_k K_k* y K_k."""
-        y = as_complex_matrix(y)
-        return _sandwich(self.ops.conj().transpose(0, 2, 1), y, self.ops)
+    def pure_output(self, amps: np.ndarray) -> np.ndarray:
+        """Sum_k K_k psi psi* K_k* for raw amplitudes psi (not validated)."""
+        return pure_output(self.ops, amps)
 
-    def compose(self, other: KrausChannel) -> KrausChannel:
+    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
+        """Heisenberg-picture action Sum_k K_k* y K_k, on one operator or on each of a stack."""
+        y = as_complex_matrix(y, stack=True)
+        return _sandwich(self.adjoint_ops, y, self.ops)
+
+    def compose(self, other: Channel) -> KrausChannel:
         """self after other: Kraus set {A_i B_j}."""
         if self.dim != other.dim:
             raise UsageError(f"cannot compose channels of dimensions {self.dim} and {other.dim}")
         prod = self.ops[:, None] @ other.ops[None, :]
         return kraus_channel(prod.reshape(-1, self.dim, self.dim))
 
-    def tensor(self, other: KrausChannel) -> KrausChannel:
-        """Tensor product channel: Kraus set {A_i (x) B_j}; refused above DIM_CAP."""
-        composite = self.dim * other.dim
-        if composite > DIM_CAP:
-            raise CapacityError(f"composite dimension {composite} exceeds cap {DIM_CAP}")
-        # Axes (i, j, row_a, row_b, col_a, col_b): entry A_i[r_a, c_a] B_j[r_b, c_b]
-        # is np.kron(A_i, B_j)[r_a * db + r_b, c_a * db + c_b].
-        outer = self.ops[:, None, :, None, :, None] * other.ops[None, :, None, :, None, :]
-        return kraus_channel(outer.reshape(-1, composite, composite))
+    def tensor(self, other: Channel) -> ProductChannel:
+        """Tensor product channel, applied factor by factor; refused above DIM_CAP."""
+        return _product(self, other)
 
-    def tensor_power(self, n: int) -> KrausChannel:
+    def tensor_power(self, n: int) -> Channel:
         out = self
         for _ in range(n - 1):
             out = out.tensor(self)
@@ -170,6 +177,90 @@ class KrausChannel:
         values, vectors = hermitian_eig(coeffs.T @ coeffs.conj())
         keep = values > 1e-12
         return kraus_channel(((vectors[:, keep] * np.sqrt(values[keep])).T @ basis).reshape(-1, d, d))
+
+
+def _product(a: Channel, b: Channel) -> ProductChannel:
+    composite = a.dim * b.dim
+    if composite > DIM_CAP:
+        raise CapacityError(f"composite dimension {composite} exceeds cap {DIM_CAP}")
+    return ProductChannel(a, b)
+
+
+@dataclass(frozen=True)
+class ProductChannel:
+    """The tensor product a (x) b, applied one factor at a time.
+
+    An operand on the composite space, index (i_a, i_b) -> i_a * b.dim + i_b,
+    is reshaped to (d_a, d_b, d_a, d_b); each factor then acts on the stack of
+    blocks that its own indices address.  ``pure_output`` and ``adjoint_apply``
+    never build the product's Kraus stack.  Everything else reads ``dense``,
+    the Kraus set {A_i (x) B_j}, built and validated on first read.
+    """
+
+    a: Channel
+    b: Channel
+
+    @property
+    def dim(self) -> int:
+        return self.a.dim * self.b.dim
+
+    @functools.cached_property
+    def dense(self) -> KrausChannel:
+        """The product as one Kraus stack, built on first read."""
+        # Axes (i, j, row_a, row_b, col_a, col_b): entry A_i[r_a, c_a] B_j[r_b, c_b]
+        # is np.kron(A_i, B_j)[r_a * db + r_b, c_a * db + c_b].
+        outer = self.a.ops[:, None, :, None, :, None] * self.b.ops[None, :, None, :, None, :]
+        return kraus_channel(outer.reshape(-1, self.dim, self.dim))
+
+    @property
+    def ops(self) -> np.ndarray:
+        return self.dense.ops
+
+    @property
+    def adjoint_ops(self) -> np.ndarray:
+        return self.dense.adjoint_ops
+
+    @property
+    def choi(self) -> np.ndarray:
+        return self.dense.choi
+
+    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
+        return self.dense.apply_matrix(x)
+
+    def reduced(self) -> KrausChannel:
+        return self.dense.reduced()
+
+    def compose(self, other: Channel) -> KrausChannel:
+        return self.dense.compose(other)
+
+    def tensor(self, other: Channel) -> ProductChannel:
+        return _product(self, other)
+
+    def pure_output(self, amps: np.ndarray) -> np.ndarray:
+        """(a (x) id)((id (x) b)(psi psi*)) for raw amplitudes psi (not validated)."""
+        da, db = self.a.dim, self.b.dim
+        b_ops = self.b.ops
+        # v[j, r_b, r_a] = (B_j psi^T)[r_b, r_a] with psi as a (d_a, d_b) matrix.
+        v = b_ops.reshape(-1, db) @ amps.reshape(da, db).T
+        vecs = v.reshape(b_ops.shape[0], db * da)
+        half = (vecs.T @ vecs.conj()).reshape(db, da, db, da).transpose(0, 2, 1, 3)
+        out = _sandwich(self.a.ops, half, self.a.adjoint_ops)  # (r_b, c_b, r_a, c_a)
+        return out.transpose(2, 0, 3, 1).reshape(self.dim, self.dim)
+
+    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
+        """Heisenberg-picture action, one factor at a time, on one operator or on each of a stack."""
+        da, db = self.a.dim, self.b.dim
+        batch = y.shape[:-2]
+        n = len(batch)
+        t = y.reshape(*batch, da, db, da, db)
+        # b acts on the (r_b, c_b) blocks, then a on the (r_a, c_a) blocks.
+        t = self.b.adjoint_apply(t.transpose(*range(n), n, n + 2, n + 1, n + 3))
+        t = self.a.adjoint_apply(t.swapaxes(n, n + 2).swapaxes(n + 1, n + 3))
+        return t.transpose(*range(n), n + 2, n, n + 3, n + 1).reshape(y.shape)
+
+
+#: A channel in either form: one Kraus stack, or a product applied factor by factor.
+Channel = KrausChannel | ProductChannel
 
 
 def kraus_channel(ops) -> KrausChannel:
@@ -250,13 +341,13 @@ def _choi_min_eigenvalue(ops: np.ndarray) -> float:
 def structural_checks(c) -> ChannelChecks:
     """Trace preservation, unitality and CP margins.
 
-    Accepts a KrausChannel or a raw operator stack, so invalid Kraus sets
-    (which the constructor refuses) can still be diagnosed.  The CP margin,
+    Accepts a channel in either form or a raw operator stack, so invalid Kraus
+    sets (which the constructor refuses) can still be diagnosed.  The CP margin,
     the smallest Choi eigenvalue, is solved by support blocks
     (``_choi_min_eigenvalue``): the whole dim^2 x dim^2 Choi matrix is formed
     only when the operators' support links every vec index into one block.
     """
-    if isinstance(c, KrausChannel):
+    if isinstance(c, Channel):
         ops, dim = c.ops, c.dim
     else:
         ops = np.asarray(c, dtype=complex)

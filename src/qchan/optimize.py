@@ -12,12 +12,15 @@ objective.  A line search ends without a step once a halved step's whole
 first-order decrease, step * |g|^2, is at or below the float resolution of the
 objective, eps * max(1, |f|): no step that short can show a decrease.
 
+Each point is evaluated once: one output eigendecomposition gives the value
+that the line search tests, and the gradient of the accepted point is formed
+from that same decomposition, with no second channel output.
+
 Each descent records why it stopped (``OptimizationResult.stop_reason``):
-``gradient_tol`` when |g| < tol, ``stalled`` after STALL_STEPS steps that each
-improve f by less than STALL_RTOL relative, ``float_resolution`` when a line
-search ends as above, and ``max_iter``.  ``converged`` is true for every
-reason but ``max_iter``: the other three end where the gradient is below tol or
-no further step can lower f at float resolution.
+``gradient_tol`` when |g| < tol, ``float_resolution`` when a line search ends
+as above, and ``max_iter``.  ``converged`` is true for every reason but
+``max_iter``: the other two end where the gradient is below tol or no further
+step can lower f at float resolution.
 
 Restarts draw independent substreams from (seed, restart index), so results
 are deterministic.  The spectrum is floored at GRAD_FLOOR inside the gradient's
@@ -31,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import KrausChannel, pure_output
+from .channels import Channel
 from .entropy import entropy_of_spectrum
 from .errors import UsageError
 from .rng import substream
@@ -49,11 +52,6 @@ BB_STEP_MAX = 1e10
 # Relative float resolution of the objective: a line search ends once a step's
 # first-order decrease is at most EPS * max(1, |f|).
 EPS = float(np.finfo(float).eps)
-# Stop a restart after this many consecutive steps that each improve the
-# objective by less than STALL_RTOL relative: the iterate is at float
-# resolution of its basin, far below any reported tolerance.
-STALL_STEPS = 10
-STALL_RTOL = 1e-14
 
 DEFAULT_RESTARTS = 20
 DEFAULT_MAX_ITER = 500
@@ -79,40 +77,46 @@ class OptimizationResult:
         return self.stop_reason != "max_iter"
 
 
+#: evaluate(amps) -> (f, gradient): the value at amps and a closure that forms
+#: the gradient there from the same eigendecomposition.
+Evaluate = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
+
+
 def _spectral_objective(
-    c: KrausChannel,
+    c: Channel,
     value_of: Callable[[np.ndarray], float],
     weights_of: Callable[[np.ndarray], np.ndarray],
     scale: float,
-):
-    """(value, value_and_grad) pair for psi -> value_of(spectrum of c(psi psi*)).
+) -> Evaluate:
+    """``evaluate`` for psi -> value_of(spectrum of c(psi psi*)).
 
-    The Riemannian gradient is scale (I - psi psi*) c_adj(V w V*) psi, with
-    V the output's eigenvectors and w = weights_of(its eigenvalues).
+    ``evaluate`` takes one full eigendecomposition, and its gradient closure
+    reuses it.  The Riemannian gradient is scale (I - psi psi*) c_adj(V w V*) psi,
+    with V the output's eigenvectors and w = weights_of(its eigenvalues).
     """
 
-    def value(amps: np.ndarray) -> float:
-        return value_of(np.linalg.eigvalsh(pure_output(c.ops, amps)))
+    def evaluate(amps: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+        vals, vecs = np.linalg.eigh(c.pure_output(amps))
 
-    def value_and_grad(amps: np.ndarray) -> tuple[float, np.ndarray]:
-        vals, vecs = np.linalg.eigh(pure_output(c.ops, amps))
-        f = value_of(vals)
-        m = c.adjoint_apply((vecs * weights_of(vals)) @ vecs.conj().T)
-        mpsi = m @ amps
-        return f, scale * (mpsi - np.vdot(amps, mpsi).real * amps)
+        def gradient() -> np.ndarray:
+            m = c.adjoint_apply((vecs * weights_of(vals)) @ vecs.conj().T)
+            mpsi = m @ amps
+            return scale * (mpsi - np.vdot(amps, mpsi).real * amps)
 
-    return value, value_and_grad
+        return value_of(vals), gradient
+
+    return evaluate
 
 
-def _entropy_objective(c: KrausChannel):
-    """Objectives for psi -> S(c(psi psi*))."""
+def _entropy_objective(c: Channel) -> Evaluate:
+    """``evaluate`` for psi -> S(c(psi psi*))."""
     return _spectral_objective(
         c, entropy_of_spectrum, lambda vals: np.log(np.maximum(vals, GRAD_FLOOR)) + 1.0, -2.0
     )
 
 
-def _purity_objective(c: KrausChannel, p: float):
-    """Objectives for maximizing Tr(c(psi psi*)^p), phrased as minimization of its negative."""
+def _purity_objective(c: Channel, p: float) -> Evaluate:
+    """``evaluate`` for maximizing Tr(c(psi psi*)^p), phrased as minimization of its negative."""
     return _spectral_objective(
         c,
         lambda vals: -float((np.maximum(vals, 0.0) ** p).sum()),
@@ -121,7 +125,7 @@ def _purity_objective(c: KrausChannel, p: float):
     )
 
 
-def entropy_gradient(c: KrausChannel, psi: PureState) -> np.ndarray:
+def entropy_gradient(c: Channel, psi: PureState) -> np.ndarray:
     """Riemannian gradient of psi -> S(c(psi psi*)) on the unit sphere.
 
     Equals -2 (I - psi psi*) c_adj(log c(rho) + I) psi with the output spectrum
@@ -129,22 +133,15 @@ def entropy_gradient(c: KrausChannel, psi: PureState) -> np.ndarray:
     """
     if psi.dim != c.dim:
         raise UsageError(f"state dimension {psi.dim} != channel dimension {c.dim}")
-    _, value_and_grad = _entropy_objective(c)
-    return value_and_grad(psi.amplitudes)[1]
+    return _entropy_objective(c)(psi.amplitudes)[1]()
 
 
-def _descend(
-    value: Callable[[np.ndarray], float],
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    start: np.ndarray,
-    max_iter: int,
-    tol: float,
-) -> OptimizationResult:
+def _descend(evaluate: Evaluate, start: np.ndarray, max_iter: int, tol: float) -> OptimizationResult:
     amps = start / np.linalg.norm(start)
-    f, grad = value_and_grad(amps)
+    f, gradient = evaluate(amps)
+    grad = gradient()
     gnorm = float(np.linalg.norm(grad))
     iterations = 0
-    stalled_steps = 0
     step = INITIAL_STEP
     stop_reason = ""
     while True:
@@ -158,7 +155,7 @@ def _descend(
         while True:
             cand = amps - step * grad
             cand = cand / np.linalg.norm(cand)
-            f_cand = value(cand)
+            f_cand, gradient = evaluate(cand)
             if f_cand <= f - ARMIJO_C * step * gnorm * gnorm:
                 break
             step *= BACKTRACK
@@ -169,9 +166,8 @@ def _descend(
             break
         s = cand - amps
         grad_prev = grad
-        amps = cand
-        f_prev = f
-        f, grad = value_and_grad(amps)
+        amps, f = cand, f_cand
+        grad = gradient()
         gnorm = float(np.linalg.norm(grad))
         sy = np.vdot(s, grad - grad_prev).real
         if sy > 0.0:
@@ -179,13 +175,6 @@ def _descend(
         else:
             step = INITIAL_STEP
         iterations += 1
-        if f_prev - f < STALL_RTOL * max(1.0, abs(f_prev)):
-            stalled_steps += 1
-            if stalled_steps >= STALL_STEPS:
-                stop_reason = "stalled"
-                break
-        else:
-            stalled_steps = 0
     return OptimizationResult(
         value=f, argmin=PureState(amps), restarts_used=1, iterations=iterations,
         stop_reason=stop_reason, gradient_norm_final=gnorm,
@@ -193,8 +182,7 @@ def _descend(
 
 
 def _optimize_on_sphere(
-    value: Callable[[np.ndarray], float],
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    evaluate: Evaluate,
     dim: int,
     restarts: int,
     max_iter: int,
@@ -211,7 +199,7 @@ def _optimize_on_sphere(
             start = initial_states[r].amplitudes.astype(complex)
         else:
             start = random_pure_from(substream(seed, *seed_path, r), dim).amplitudes
-        return _descend(value, value_and_grad, start, max_iter, tol)
+        return _descend(evaluate, start, max_iter, tol)
 
     outcomes = [run(r) for r in range(restarts)]
     best_index = min(range(restarts), key=lambda r: (outcomes[r].value, r))
@@ -219,7 +207,7 @@ def _optimize_on_sphere(
 
 
 def min_output_entropy(
-    c: KrausChannel,
+    c: Channel,
     restarts: int = DEFAULT_RESTARTS,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
@@ -228,14 +216,12 @@ def min_output_entropy(
     seed_path: tuple[int, ...] = (),
 ) -> OptimizationResult:
     """Best output entropy over restarted descent; deterministic per seed."""
-    value, value_and_grad = _entropy_objective(c)
-    return _optimize_on_sphere(
-        value, value_and_grad, c.dim, restarts, max_iter, tol, seed, initial_states, seed_path
-    )
+    evaluate = _entropy_objective(c)
+    return _optimize_on_sphere(evaluate, c.dim, restarts, max_iter, tol, seed, initial_states, seed_path)
 
 
 def max_output_purity(
-    c: KrausChannel,
+    c: Channel,
     p: float,
     restarts: int = DEFAULT_RESTARTS,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -247,20 +233,22 @@ def max_output_purity(
     """Maximize Tr(c(psi psi*)^p); the result's value is the attained maximum."""
     if p <= 1.0:
         raise UsageError(f"norm index must satisfy p > 1, got {p}")
-    value, value_and_grad = _purity_objective(c, p)
-    res = _optimize_on_sphere(
-        value, value_and_grad, c.dim, restarts, max_iter, tol, seed, initial_states, seed_path
-    )
+    evaluate = _purity_objective(c, p)
+    res = _optimize_on_sphere(evaluate, c.dim, restarts, max_iter, tol, seed, initial_states, seed_path)
     return replace(res, value=-res.value)
 
 
-def finite_difference_gradient(c: KrausChannel, psi: PureState) -> np.ndarray:
+def finite_difference_gradient(c: Channel, psi: PureState) -> np.ndarray:
     """Central-difference estimate of the Riemannian entropy gradient.
 
     Differentiates along an orthonormal real basis of the sphere's tangent
-    space at psi and reassembles the vector.
+    space at psi and reassembles the vector.  The value takes eigenvalues
+    alone, with no eigenvectors.
     """
-    value, _ = _entropy_objective(c)
+
+    def value(amps: np.ndarray) -> float:
+        return entropy_of_spectrum(np.linalg.eigvalsh(c.pure_output(amps)))
+
     d = psi.dim
     base = np.concatenate([psi.amplitudes.real, psi.amplitudes.imag])
     # QR with the sphere normal first puts the 2d-1 tangent directions after it.
@@ -277,7 +265,7 @@ def finite_difference_gradient(c: KrausChannel, psi: PureState) -> np.ndarray:
     return grad_real[:d] + 1j * grad_real[d:]
 
 
-def gradient_fd_error(c: KrausChannel, psi: PureState) -> float:
+def gradient_fd_error(c: Channel, psi: PureState) -> float:
     """Relative disagreement between the analytic and finite-difference gradients."""
     g = entropy_gradient(c, psi)
     g_fd = finite_difference_gradient(c, psi)

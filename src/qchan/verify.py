@@ -559,12 +559,14 @@ def _pair_search(
 
     The first joint restart starts from that product, so the joint optimum is
     never worse than the product of the single-channel ones.  When ``b is a``
-    the search on a stands for b too, so b's result is a's.
+    the search on a stands for b too, so b's result is a's.  The joint search
+    runs on the ``ProductChannel`` itself, factor by factor, so the joint
+    Kraus stack is never built.
     """
     res_a = search(a, restarts, max_iter, grad_tol, seed, seed_path=(1,))
     res_b = res_a if b is a else search(b, restarts, max_iter, grad_tol, seed, seed_path=(2,))
     product = PureState(np.kron(res_a.argmin.amplitudes, res_b.argmin.amplitudes))
-    res_joint = search(a.tensor(b).reduced(), restarts, max_iter, grad_tol, seed,
+    res_joint = search(a.tensor(b), restarts, max_iter, grad_tol, seed,
                        initial_states=(product,), seed_path=(3,))
     return res_a, res_b, res_joint
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from qchan.channels import (
+    Channel,
     KrausChannel,
+    ProductChannel,
     choi_matrix,
     depolarizing,
     gram_matrix,
@@ -17,6 +19,8 @@ from qchan.channels import (
 )
 from qchan.optimize import GRAD_FLOOR, entropy_gradient
 from qchan.rng import substream
+from qchan.states import PureState
+from qchan.verify import check_additivity, check_multiplicativity
 
 from helpers import random_channel, random_pure
 
@@ -190,15 +194,15 @@ def _chained(d):
 @pytest.mark.parametrize("name", BLOCK_CASES)
 def test_choi_spectrum_by_blocks(name):
     c = BLOCK_CASES[name]()
-    ops = c.ops if isinstance(c, KrausChannel) else c
+    ops = c.ops if isinstance(c, Channel) else c
     d = ops.shape[1]
     choi_min = float(np.linalg.eigvalsh(ref_choi(ops))[0])
     checks = structural_checks(c)
     assert abs(checks.choi_min_eigenvalue - choi_min) <= TOL * d * d
     if name == "phase-damping-isolated":
         assert checks.choi_min_eigenvalue == 0.0
-    if isinstance(c, KrausChannel):
-        assert "choi" not in vars(c)
+    if isinstance(c, Channel):
+        assert "choi" not in vars(getattr(c, "dense", c))
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
@@ -226,3 +230,92 @@ def test_entropy_gradient(case):
     c = _channel(d, m)
     psi = random_pure(d, seed=7 * d + m)
     assert_close(entropy_gradient(c, psi), ref_entropy_gradient(c.ops, psi.amplitudes), d)
+
+
+# ---------------------------------------------------------------------------
+# Products applied factor by factor, against the dense product stack
+
+
+def _cp_bound_depolarizing(l):
+    # At p = l^2 / (l^2 - 1) the identity's Weyl weight is zero.
+    return depolarizing(l, l * l / (l * l - 1))
+
+
+PRODUCT_CASES = {
+    "random-2x3": lambda: (_channel(2, 3), _channel(3, 2)),
+    "random-4x2": lambda: (_channel(4, 5), _channel(2, 4)),
+    "cp-bound-3x2": lambda: (_cp_bound_depolarizing(3), _channel(2, 3)),
+    "random-2x-cp-bound-4": lambda: (_channel(2, 1), _cp_bound_depolarizing(4)),
+    "xi-3x-cp-bound-2": lambda: (_xi(3), _cp_bound_depolarizing(2)),
+}
+
+
+def _product_operands(ab, seed):
+    """A pure state, one operator and a (2, 3) stack of operators on ab's space."""
+    d = ab.dim
+    stack = np.array([_operator(d, seed + i) for i in range(6)]).reshape(2, 3, d, d)
+    return random_pure(d, seed=seed).amplitudes, _operator(d, seed + 10), stack
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_product_factorwise_against_the_dense_stack(name):
+    a, b = PRODUCT_CASES[name]()
+    ab = a.tensor(b)
+    assert isinstance(ab, ProductChannel) and ab.dim == a.dim * b.dim
+    dense = ref_tensor(a.ops, b.ops)
+    amps, y, stack = _product_operands(ab, a.dim + 7 * b.dim)
+    assert_close(ab.pure_output(amps), ref_pure_output(dense, amps), ab.dim)
+    assert_close(ab.adjoint_apply(y), ref_adjoint_apply(dense, y), ab.dim)
+    want = np.array([ref_adjoint_apply(dense, x) for x in stack.reshape(-1, ab.dim, ab.dim)])
+    assert_close(ab.adjoint_apply(stack), want.reshape(stack.shape), ab.dim)
+    assert "dense" not in vars(ab)  # neither path built the product's Kraus stack
+    assert_close(entropy_gradient(ab, PureState(amps)), ref_entropy_gradient(dense, amps), ab.dim)
+    assert "dense" not in vars(ab)
+    assert_close(ab.ops, dense, ab.dim)
+
+
+@pytest.mark.parametrize("nest", ["left", "right", "power"])
+def test_nested_products_against_the_dense_stack(nest):
+    a, b = _channel(2, 3), _channel(3, 2)
+    if nest == "left":
+        abc, dense = a.tensor(b).tensor(a), ref_tensor(ref_tensor(a.ops, b.ops), a.ops)
+    elif nest == "right":
+        abc, dense = a.tensor(b.tensor(a)), ref_tensor(a.ops, ref_tensor(b.ops, a.ops))
+    else:
+        abc, dense = a.tensor_power(3), ref_tensor(ref_tensor(a.ops, a.ops), a.ops)
+    amps, y, stack = _product_operands(abc, 31)
+    assert_close(abc.pure_output(amps), ref_pure_output(dense, amps), abc.dim)
+    assert_close(abc.adjoint_apply(y), ref_adjoint_apply(dense, y), abc.dim)
+    want = np.array([ref_adjoint_apply(dense, x) for x in stack.reshape(-1, abc.dim, abc.dim)])
+    assert_close(abc.adjoint_apply(stack), want.reshape(stack.shape), abc.dim)
+    assert_close(abc.ops, dense, abc.dim)
+
+
+def _no_dense_stack(self):
+    raise AssertionError("the joint search built the product's Kraus stack")
+
+
+def _dense_tensor(self, other):
+    """A tensor product as one dense Kraus stack: the reference joint channel."""
+    return ProductChannel(self, other).dense
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_pair_checks_on_products_match_the_dense_joint_channel(l, monkeypatch):
+    xi, phi = _xi(l), depolarizing(l, 0.3)
+    restarts = 2
+
+    def run():
+        return (check_additivity(xi, phi, restarts=restarts, seed=l),
+                check_multiplicativity(xi, phi, 2.0, restarts=restarts, seed=l))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProductChannel, "dense", property(_no_dense_stack))
+        additivity, multiplicativity = run()
+    monkeypatch.setattr(KrausChannel, "tensor", _dense_tensor)
+    dense_additivity, dense_multiplicativity = run()
+    assert abs(additivity.s_min_joint - dense_additivity.s_min_joint) <= 1e-10
+    assert abs(additivity.gap - dense_additivity.gap) <= 1e-10
+    assert abs(multiplicativity.lhs - dense_multiplicativity.lhs) <= 1e-10
+    assert abs(multiplicativity.margin - dense_multiplicativity.margin) <= 1e-10
+    assert additivity.passed and multiplicativity.passed

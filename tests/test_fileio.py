@@ -22,7 +22,10 @@ def test_state_roundtrip_exact(tmp_path):
     assert np.array_equal(again.matrix, rho.matrix)
 
 
-@pytest.mark.parametrize("channel", [depolarizing(2, 0.5), phase_damping(3, (0.4, 0.9))])
+@pytest.mark.parametrize("channel", [
+    depolarizing(2, 0.5), phase_damping(3, (0.4, 0.9)),
+    depolarizing(2, 4.0 / 3.0).tensor(random_channel(3, 2, seed=4)),
+])
 def test_channel_roundtrip_choi_zero(tmp_path, channel):
     path = tmp_path / "chan.txt"
     save_channel(path, channel)
