@@ -15,7 +15,6 @@ from .channels import (
     Eq12Report,
     KrausChannel,
     PhaseDampingParams,
-    SchurReport,
     choi_distance,
     depolarizing,
     eq9_decomposition,

@@ -7,9 +7,10 @@ builds its Choi matrix only when a distance reads it; applying, composing,
 tensoring, reducing and the structural checks never do.  The checks solve
 the Choi spectrum block by block over the operators' support instead.
 
-A tensor product is a ``ProductChannel``: its pure-state output and its
-adjoint act one factor at a time, and its dense Kraus stack is built only
-when something reads it.
+A tensor product is a ``ProductChannel``: its pure-state output, its apply
+and its adjoint apply act one factor at a time.  Its dense Kraus stack is
+built only when ``ops``, ``adjoint_ops``, ``choi``, ``compose`` or
+``reduced()`` reads it.
 """
 from __future__ import annotations
 
@@ -74,8 +75,9 @@ def pure_output(ops: np.ndarray, amps: np.ndarray) -> np.ndarray:
 #: Largest (matrices, m d, d) intermediate, in bytes, that ``apply_matrix``
 #: builds for a stack at once; a larger stack is applied in parts, with equal
 #: results.  One matrix always goes whole.  At this size a stacked apply needs
-#: no more memory than the single-matrix applies of the l <= 3 claims did,
-#: and at l = 5 a part is still several matrices except for the tensor square.
+#: no more memory than the single-matrix applies of the l <= 3 claims did; a
+#: product hands each factor a stack of blocks, so at l = 5 a part is still
+#: several matrices for every channel.
 APPLY_STACK_BYTES = 256 * 1024
 
 
@@ -149,12 +151,6 @@ class KrausChannel:
         """Tensor product channel, applied factor by factor; refused above DIM_CAP."""
         return _product(self, other)
 
-    def tensor_power(self, n: int) -> Channel:
-        out = self
-        for _ in range(n - 1):
-            out = out.tensor(self)
-        return out
-
     def reduced(self) -> KrausChannel:
         """Equivalent channel with at most dim^2 Kraus operators, each a Weyl combination.
 
@@ -192,9 +188,10 @@ class ProductChannel:
 
     An operand on the composite space, index (i_a, i_b) -> i_a * b.dim + i_b,
     is reshaped to (d_a, d_b, d_a, d_b); each factor then acts on the stack of
-    blocks that its own indices address.  ``pure_output`` and ``adjoint_apply``
-    never build the product's Kraus stack.  Everything else reads ``dense``,
-    the Kraus set {A_i (x) B_j}, built and validated on first read.
+    blocks that its own indices address.  ``pure_output``, ``apply_matrix``
+    and ``adjoint_apply`` never build the product's Kraus stack.  ``ops``,
+    ``adjoint_ops``, ``choi``, ``compose`` and ``reduced()`` read ``dense``, the
+    Kraus set {A_i (x) B_j}, built and validated on first read.
     """
 
     a: Channel
@@ -224,9 +221,6 @@ class ProductChannel:
     def choi(self) -> np.ndarray:
         return self.dense.choi
 
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        return self.dense.apply_matrix(x)
-
     def reduced(self) -> KrausChannel:
         return self.dense.reduced()
 
@@ -247,16 +241,24 @@ class ProductChannel:
         out = _sandwich(self.a.ops, half, self.a.adjoint_ops)  # (r_b, c_b, r_a, c_a)
         return out.transpose(2, 0, 3, 1).reshape(self.dim, self.dim)
 
+    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Sum_ij (A_i (x) B_j) x (A_i (x) B_j)*, one factor at a time, on one operator or a stack."""
+        return self._factorwise(x, self.a.apply_matrix, self.b.apply_matrix)
+
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action, one factor at a time, on one operator or on each of a stack."""
-        da, db = self.a.dim, self.b.dim
-        batch = y.shape[:-2]
-        n = len(batch)
-        t = y.reshape(*batch, da, db, da, db)
-        # b acts on the (r_b, c_b) blocks, then a on the (r_a, c_a) blocks.
-        t = self.b.adjoint_apply(t.transpose(*range(n), n, n + 2, n + 1, n + 3))
-        t = self.a.adjoint_apply(t.swapaxes(n, n + 2).swapaxes(n + 1, n + 3))
-        return t.transpose(*range(n), n + 2, n, n + 3, n + 1).reshape(y.shape)
+        return self._factorwise(y, self.a.adjoint_apply, self.b.adjoint_apply)
+
+    def _factorwise(self, x: np.ndarray, a_map, b_map) -> np.ndarray:
+        """b_map on the (r_b, c_b) blocks of x, then a_map on the (r_a, c_a) blocks."""
+        x = np.asarray(x)
+        if x.shape[-2:] != (self.dim, self.dim):
+            raise UsageError(f"operator shape {x.shape} does not end in channel dimension {self.dim}")
+        n = x.ndim - 2
+        t = x.reshape(*x.shape[:n], self.a.dim, self.b.dim, self.a.dim, self.b.dim)
+        t = b_map(t.transpose(*range(n), n, n + 2, n + 1, n + 3))
+        t = a_map(t.swapaxes(n, n + 2).swapaxes(n + 1, n + 3))
+        return t.transpose(*range(n), n + 2, n, n + 3, n + 1).reshape(x.shape)
 
 
 #: A channel in either form: one Kraus stack, or a product applied factor by factor.
@@ -444,22 +446,12 @@ class PhaseDampingParams:
         object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class SchurReport:
-    """Multiplier coefficient matrix with its CP certificate eigenvalue."""
-
-    matrix: np.ndarray
-    min_eigenvalue: float
-
-
-def schur_matrix(params: PhaseDampingParams) -> SchurReport:
-    """Coefficient matrix C of the damping multiplier; C PSD iff the map is CP."""
+def schur_matrix(params: PhaseDampingParams) -> np.ndarray:
+    """Coefficient matrix C of the damping multiplier, read-only; C PSD iff the map is CP."""
     l = params.l
     distance = np.abs(np.subtract.outer(np.arange(l), np.arange(l)))
     distance[distance == l - 1] = 1  # the corners take q_1
-    c = np.array((1.0, *params.q))[distance]
-    min_eig = float(np.linalg.eigvalsh(c)[0])
-    return SchurReport(matrix=frozen(c), min_eigenvalue=min_eig)
+    return frozen(np.array((1.0, *params.q))[distance])
 
 
 def phase_damping(l: int, q) -> KrausChannel:
@@ -468,13 +460,11 @@ def phase_damping(l: int, q) -> KrausChannel:
     Kraus operators are sqrt(gamma_i) diag(v_i) from the eigendecomposition of
     the coefficient matrix; a matrix that is not PSD is rejected as not CP.
     """
-    report = schur_matrix(PhaseDampingParams(l=l, q=tuple(np.atleast_1d(q))))
-    if report.min_eigenvalue < -CP_EIG_TOL:
+    gammas, vectors = np.linalg.eigh(schur_matrix(PhaseDampingParams(l=l, q=tuple(np.atleast_1d(q)))))
+    if gammas[0] < -CP_EIG_TOL:
         raise NotCompletelyPositiveError(
-            f"phase damping multiplier is not PSD: min eigenvalue {report.min_eigenvalue:.6e}",
-            report.min_eigenvalue,
+            f"phase damping multiplier is not PSD: min eigenvalue {gammas[0]:.6e}", float(gammas[0])
         )
-    gammas, vectors = np.linalg.eigh(report.matrix)
     ops = []
     for gamma, v in zip(gammas, vectors.T):
         if gamma > 0.0:
@@ -651,6 +641,6 @@ def eq12_representation(params: PhaseDampingParams) -> Eq12Report:
     multiplier = np.full((l, l), q_bar)
     for coeff, d in terms:
         multiplier = multiplier + coeff * np.outer(d, d)
-    entry = np.abs(multiplier - schur_matrix(params).matrix)
+    entry = np.abs(multiplier - schur_matrix(params))
     residual = float(np.sqrt((entry ** 2).sum()))
     return Eq12Report(l=l, q_bar=q_bar, reconstruction_residual=residual, entry_residuals=frozen(entry))

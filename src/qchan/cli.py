@@ -246,7 +246,7 @@ def _min_entropy(cfg: RunConfig) -> Check:
     witness = {
         "value": res.value,
         "converged": res.converged,
-        "restarts": res.restarts_used,
+        "restarts": cfg.restarts,
         "iterations": res.iterations,
         "gradient_norm_final": res.gradient_norm_final,
         "argmin": [[float(a.real), float(a.imag)] for a in res.argmin.amplitudes],

@@ -20,7 +20,8 @@ Each descent records why it stopped (``OptimizationResult.stop_reason``):
 ``gradient_tol`` when |g| < tol, ``float_resolution`` when a line search ends
 as above, and ``max_iter``.  ``converged`` is true for every reason but
 ``max_iter``: the other two end where the gradient is below tol or no further
-step can lower f at float resolution.
+step can lower f at float resolution.  A value or gradient norm that is not
+finite raises ``NumericalError`` instead, since no line search could end there.
 
 Restarts draw independent substreams from (seed, restart index), so results
 are deterministic.  The spectrum is floored at GRAD_FLOOR inside the gradient's
@@ -29,6 +30,7 @@ floor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from .channels import Channel
 from .entropy import entropy_of_spectrum
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .rng import substream
 from .states import PureState, random_pure_from
 
@@ -66,7 +68,6 @@ class OptimizationResult:
 
     value: float
     argmin: PureState
-    restarts_used: int
     iterations: int
     stop_reason: str
     gradient_norm_final: float
@@ -145,6 +146,9 @@ def _descend(evaluate: Evaluate, start: np.ndarray, max_iter: int, tol: float) -
     step = INITIAL_STEP
     stop_reason = ""
     while True:
+        # No line search can end at a non-finite point: every comparison with NaN is false.
+        if not (math.isfinite(f) and math.isfinite(gnorm)):
+            raise NumericalError(f"descent reached a non-finite value {f} or gradient norm {gnorm}")
         if gnorm < tol:
             stop_reason = "gradient_tol"
             break
@@ -156,6 +160,8 @@ def _descend(evaluate: Evaluate, start: np.ndarray, max_iter: int, tol: float) -
             cand = amps - step * grad
             cand = cand / np.linalg.norm(cand)
             f_cand, gradient = evaluate(cand)
+            if not math.isfinite(f_cand):
+                raise NumericalError(f"descent reached a non-finite value {f_cand}")
             if f_cand <= f - ARMIJO_C * step * gnorm * gnorm:
                 break
             step *= BACKTRACK
@@ -176,7 +182,7 @@ def _descend(evaluate: Evaluate, start: np.ndarray, max_iter: int, tol: float) -
             step = INITIAL_STEP
         iterations += 1
     return OptimizationResult(
-        value=f, argmin=PureState(amps), restarts_used=1, iterations=iterations,
+        value=f, argmin=PureState(amps), iterations=iterations,
         stop_reason=stop_reason, gradient_norm_final=gnorm,
     )
 
@@ -201,9 +207,8 @@ def _optimize_on_sphere(
             start = random_pure_from(substream(seed, *seed_path, r), dim).amplitudes
         return _descend(evaluate, start, max_iter, tol)
 
-    outcomes = [run(r) for r in range(restarts)]
-    best_index = min(range(restarts), key=lambda r: (outcomes[r].value, r))
-    return replace(outcomes[best_index], restarts_used=restarts)
+    # min keeps the first of equal values, so the lowest restart index wins a tie.
+    return min((run(r) for r in range(restarts)), key=lambda res: res.value)
 
 
 def min_output_entropy(

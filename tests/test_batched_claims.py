@@ -249,7 +249,7 @@ def test_stacked_eq13_margins_equal_the_per_sample_reference(stacked_margins, l,
     xi = phase_damping(l, (0.5,) * (l - 1)).compose(phi).reduced()
     assert [path for path, _ in batches] == [(101,), (102,)]
     for n, (path, margins) in zip((1, 2), batches):
-        xin, phin = xi.tensor_power(n), phi.tensor_power(n)
+        xin, phin = (xi, phi) if n == 1 else (xi.tensor(xi), phi.tensor(phi))
         assert margins == _reference(5, seed, path, lambda rng, i: ref_eq13(xin, phin, l ** n, rng, i))
 
 

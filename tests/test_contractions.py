@@ -17,10 +17,11 @@ from qchan.channels import (
     phase_damping,
     structural_checks,
 )
+from qchan.errors import UsageError
 from qchan.optimize import GRAD_FLOOR, entropy_gradient
 from qchan.rng import substream
 from qchan.states import PureState
-from qchan.verify import check_additivity, check_multiplicativity
+from qchan.verify import check_additivity, check_multiplicativity, verify_prop3, verify_theorem
 
 from helpers import random_channel, random_pure
 
@@ -257,6 +258,14 @@ def _product_operands(ab, seed):
     return random_pure(d, seed=seed).amplitudes, _operator(d, seed + 10), stack
 
 
+def _assert_applies_match(ab, dense, y, stack):
+    """Both applies on one operator and on a (2, 3) stack, against the dense product stack."""
+    for apply, ref in ((ab.apply_matrix, ref_apply_matrix), (ab.adjoint_apply, ref_adjoint_apply)):
+        assert_close(apply(y), ref(dense, y), ab.dim)
+        want = np.array([ref(dense, x) for x in stack.reshape(-1, ab.dim, ab.dim)])
+        assert_close(apply(stack), want.reshape(stack.shape), ab.dim)
+
+
 @pytest.mark.parametrize("name", PRODUCT_CASES)
 def test_product_factorwise_against_the_dense_stack(name):
     a, b = PRODUCT_CASES[name]()
@@ -265,10 +274,8 @@ def test_product_factorwise_against_the_dense_stack(name):
     dense = ref_tensor(a.ops, b.ops)
     amps, y, stack = _product_operands(ab, a.dim + 7 * b.dim)
     assert_close(ab.pure_output(amps), ref_pure_output(dense, amps), ab.dim)
-    assert_close(ab.adjoint_apply(y), ref_adjoint_apply(dense, y), ab.dim)
-    want = np.array([ref_adjoint_apply(dense, x) for x in stack.reshape(-1, ab.dim, ab.dim)])
-    assert_close(ab.adjoint_apply(stack), want.reshape(stack.shape), ab.dim)
-    assert "dense" not in vars(ab)  # neither path built the product's Kraus stack
+    _assert_applies_match(ab, dense, y, stack)
+    assert "dense" not in vars(ab)  # no path built the product's Kraus stack
     assert_close(entropy_gradient(ab, PureState(amps)), ref_entropy_gradient(dense, amps), ab.dim)
     assert "dense" not in vars(ab)
     assert_close(ab.ops, dense, ab.dim)
@@ -282,17 +289,24 @@ def test_nested_products_against_the_dense_stack(nest):
     elif nest == "right":
         abc, dense = a.tensor(b.tensor(a)), ref_tensor(a.ops, ref_tensor(b.ops, a.ops))
     else:
-        abc, dense = a.tensor_power(3), ref_tensor(ref_tensor(a.ops, a.ops), a.ops)
+        abc, dense = a.tensor(a).tensor(a), ref_tensor(ref_tensor(a.ops, a.ops), a.ops)
     amps, y, stack = _product_operands(abc, 31)
     assert_close(abc.pure_output(amps), ref_pure_output(dense, amps), abc.dim)
-    assert_close(abc.adjoint_apply(y), ref_adjoint_apply(dense, y), abc.dim)
-    want = np.array([ref_adjoint_apply(dense, x) for x in stack.reshape(-1, abc.dim, abc.dim)])
-    assert_close(abc.adjoint_apply(stack), want.reshape(stack.shape), abc.dim)
+    _assert_applies_match(abc, dense, y, stack)
+    assert "dense" not in vars(abc)
     assert_close(abc.ops, dense, abc.dim)
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (2, 7, 7), (6,), (6, 5)])
+def test_product_applies_refuse_a_wrong_operand_dimension(shape):
+    ab = _channel(2, 3).tensor(_channel(3, 2))
+    for apply in (ab.apply_matrix, ab.adjoint_apply):
+        with pytest.raises(UsageError, match="channel dimension 6"):
+            apply(np.zeros(shape, dtype=complex))
+
+
 def _no_dense_stack(self):
-    raise AssertionError("the joint search built the product's Kraus stack")
+    raise AssertionError("a product's Kraus stack was built")
 
 
 def _dense_tensor(self, other):
@@ -319,3 +333,19 @@ def test_pair_checks_on_products_match_the_dense_joint_channel(l, monkeypatch):
     assert abs(multiplicativity.lhs - dense_multiplicativity.lhs) <= 1e-10
     assert abs(multiplicativity.margin - dense_multiplicativity.margin) <= 1e-10
     assert additivity.passed and multiplicativity.passed
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_theorem_and_prop3_apply_products_without_the_dense_stack(l, monkeypatch):
+    def run():
+        return (*verify_theorem(l, 0.3, (0.5,) * (l - 1), restarts=2, seed=l, eq13_samples=6),
+                verify_prop3(l, 0.3, samples=12, seed=l),
+                verify_prop3(l, 0.3, samples=12, seed=l, mode="search", search_count=5))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProductChannel, "dense", property(_no_dense_stack))
+        checks = run()
+    monkeypatch.setattr(KrausChannel, "tensor", _dense_tensor)
+    for check, dense in zip(checks, run(), strict=True):
+        assert check.claim_id == dense.claim_id and check.passed
+        assert abs(check.margin - dense.margin) <= 1e-10

@@ -1,8 +1,8 @@
-"""The values of two full ``verify all`` reports, pinned against committed goldens.
+"""The values of three full ``verify all`` reports, pinned against committed goldens.
 
 ``tests/test_report_shape.py`` pins the layout of a report; this file pins its
-numbers.  Both reports use ``--p 0.3 --q 0.5 --seed 42`` and the benchmark's
-small batch sizes, at l = 2 and l = 3.  Timing fields (``elapsed_ms``,
+numbers.  The reports use ``--p 0.3 --q 0.5 --seed 42`` and the benchmark's
+small batch sizes, at l = 2, 3 and 5.  Timing fields (``elapsed_ms``,
 ``wall_clock_ms``) are stripped.  Ids, pass flags, integers and strings must
 match exactly; floats must agree within 1e-12 absolute plus 1e-12 relative.
 
@@ -24,6 +24,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 ABS_TOL = 1e-12
 REL_TOL = 1e-12
 TIMING_KEYS = ("elapsed_ms", "wall_clock_ms")
+LEVELS = (2, 3, 5)
 
 SMALL_SIZES = [
     "--samples", "10", "--pairs", "40", "--eq13-samples", "4", "--search-count", "10",
@@ -73,7 +74,7 @@ def _differences(got, want, path="$"):
     return []
 
 
-@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("l", LEVELS)
 def test_verify_all_matches_golden(l, tmp_path):
     code, got = _report(l, tmp_path / "report.json")
     want = json.loads((GOLDEN_DIR / f"verify_all_l{l}.json").read_text())
@@ -96,7 +97,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_report.py --write")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for level in (2, 3):
+    for level in LEVELS:
         target = GOLDEN_DIR / f"verify_all_l{level}.json"
         exit_code, doc = _report(level, target)
         if exit_code != 0:

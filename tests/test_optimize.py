@@ -11,7 +11,7 @@ from qchan.channels import (
     pure_output,
 )
 from qchan.entropy import entropy_of_spectrum
-from qchan.errors import UsageError
+from qchan.errors import NumericalError, UsageError
 from qchan.optimize import (
     ARMIJO_C,
     BACKTRACK,
@@ -255,9 +255,30 @@ def test_descent_out_of_iterations_is_not_converged():
     assert (res.stop_reason, res.iterations, res.converged) == ("max_iter", 1, False)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["start_value", "start_gradient", "candidate_value"])
+def test_descent_at_a_non_finite_point_raises(where, bad):
+    # A line search at a NaN or inf point never ends without the check; the
+    # call limit keeps this test finite.
+    calls = []
+
+    def evaluate(amps):
+        calls.append(amps)
+        if len(calls) > 1000:
+            pytest.fail("the descent kept evaluating at a non-finite point")
+        first = len(calls) == 1
+        f = bad if (first, where) in ((True, "start_value"), (False, "candidate_value")) else 1.0
+        grad = np.full(3, bad) if where == "start_gradient" else np.array([0.5, -0.5, 0.0])
+        return f, lambda: grad
+
+    with pytest.raises(NumericalError, match="non-finite"):
+        _descend(evaluate, random_pure_from(substream(17), 3).amplitudes, max_iter=50, tol=1e-9)
+    assert len(calls) <= 2
+
+
 @pytest.mark.parametrize("reason", ["gradient_tol", "float_resolution", "max_iter"])
 def test_converged_follows_stop_reason(reason):
-    res = OptimizationResult(0.0, random_pure(2, seed=0), 1, 0, reason, 0.0)
+    res = OptimizationResult(0.0, random_pure(2, seed=0), 0, reason, 0.0)
     assert res.converged == (reason != "max_iter")
 
 

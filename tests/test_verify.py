@@ -298,10 +298,10 @@ def test_prop4_known_counterexample_detected():
     # multiplier matrix is indefinite; the sampler must flag such vectors.
     from qchan.channels import PhaseDampingParams, schur_matrix
 
-    report = schur_matrix(PhaseDampingParams(l=5, q=(0.5, 0.0, 0.5, 0.0)))
+    c = schur_matrix(PhaseDampingParams(l=5, q=(0.5, 0.0, 0.5, 0.0)))
     q_bar = (1.0 + 0.5 + 0.0 + 0.5) / 4
     assert all(v <= q_bar for v in (0.5, 0.0, 0.5))
-    assert report.min_eigenvalue < -1e-3
+    assert np.linalg.eigvalsh(c)[0] < -1e-3
 
 
 def test_prop4_deterministic():
@@ -397,7 +397,7 @@ def test_multiplicativity_verdict_is_two_sided(monkeypatch, offset):
     def fake_pair_search(a, b, search, restarts, seed, max_iter, grad_tol):
         state = PureState(np.array([1.0, 0.0]))
         values = (0.64, 0.64, (0.64 + offset) ** 2)
-        return [OptimizationResult(v, state, restarts, 0, "gradient_tol", 0.0) for v in values]
+        return [OptimizationResult(v, state, 0, "gradient_tol", 0.0) for v in values]
 
     monkeypatch.setattr(verify_mod, "_pair_search", fake_pair_search)
     rep = check_multiplicativity(identity_channel(2), identity_channel(2), 2.0, restarts=3, seed=4)
