@@ -2,10 +2,15 @@
 
 Channel equality is decided by Choi-matrix distance (Frobenius); the Choi
 matrix uses the unnormalized maximally entangled reference, so Tr(choi) = dim
-and complete positivity means choi eigenvalues >= -CP_EIG_TOL.  A channel
-builds its Choi matrix only when a distance reads it; applying, composing,
-tensoring, reducing and the structural checks never do.  The checks solve
-the Choi spectrum block by block over the operators' support instead.
+and complete positivity means choi eigenvalues >= -CP_EIG_TOL.  The Choi
+matrix of a Kraus stack is block diagonal over the operators' support: the
+vec indices that one operator's nonzero entries link.  ``choi_distance`` sums
+the distance block by block over the support of both stacks, and the
+structural checks solve the Choi spectrum block by block; each block is built
+from its own operators only, so neither builds the dense Choi matrix.  For
+the paper's Weyl-covariant channels every Kraus operator carries one shift,
+and the l = 5 tensor square has 25 blocks of 25.  ``KrausChannel.choi``
+builds the dense matrix, the reference that tests compare against.
 
 A tensor product is a ``ProductChannel``: its pure-state output, its apply
 and its adjoint apply act one factor at a time.  Its dense Kraus stack is
@@ -47,16 +52,49 @@ CHOI_EQ_TOL = 1e-11
 DIM_CAP = 4096
 
 
+#: Largest (matrices, m d, d) intermediate, in bytes, that ``apply_matrix``
+#: builds for a stack at once; a larger stack is applied in parts, with equal
+#: results.  One matrix always goes whole.  At this size a stacked apply needs
+#: no more memory than the single-matrix applies of the l <= 3 claims did; a
+#: product hands each factor a stack of blocks, so at l = 5 a part is still
+#: several matrices for every channel.  The Gram and unitality sums run over
+#: parts of a Kraus stack of at most this size too.
+APPLY_STACK_BYTES = 256 * 1024
+
+
 # Sums over the Kraus index k run on the stack of shape (m, d, d) reshaped to a
 # matrix ((m*d, d), or (d*m, d) after moving k inward), so each sum is one BLAS
 # matrix product; numpy runs the equivalent einsum forms as plain loops.
 
 
-def gram_matrix(ops: np.ndarray) -> np.ndarray:
-    """Sum_k K_k* K_k of a Kraus stack; the identity iff the map is trace preserving."""
+def _sum_over_runs(ops: np.ndarray, term) -> np.ndarray:
+    """Sum of ``term(run)`` over runs of at most APPLY_STACK_BYTES of the stack's operators.
+
+    A stack that fits in one run is one ``term(ops)``, so its bits do not
+    depend on the run size; a larger one is never copied whole.
+    """
+    per = max(1, APPLY_STACK_BYTES // (ops.itemsize * ops.shape[1] * ops.shape[2]))
+    total = term(ops[:per])
+    for first in range(per, len(ops), per):
+        total += term(ops[first:first + per])
+    return total
+
+
+def _gram_term(ops: np.ndarray) -> np.ndarray:
     m, d, _ = ops.shape
     stacked = ops.reshape(m * d, d)
     return stacked.conj().T @ stacked
+
+
+def _unitality_term(ops: np.ndarray) -> np.ndarray:
+    # Row i of ``rows`` holds row i of every K_k, so rows rows* = Sum_k K_k K_k*.
+    rows = ops.transpose(1, 0, 2).reshape(ops.shape[1], -1)
+    return rows @ rows.conj().T
+
+
+def gram_matrix(ops: np.ndarray) -> np.ndarray:
+    """Sum_k K_k* K_k of a Kraus stack; the identity iff the map is trace preserving."""
+    return _sum_over_runs(ops, _gram_term)
 
 
 def choi_matrix(ops: np.ndarray) -> np.ndarray:
@@ -70,15 +108,6 @@ def pure_output(ops: np.ndarray, amps: np.ndarray) -> np.ndarray:
     m, d, _ = ops.shape
     v = (ops.reshape(m * d, d) @ amps).reshape(m, d)
     return v.T @ v.conj()
-
-
-#: Largest (matrices, m d, d) intermediate, in bytes, that ``apply_matrix``
-#: builds for a stack at once; a larger stack is applied in parts, with equal
-#: results.  One matrix always goes whole.  At this size a stacked apply needs
-#: no more memory than the single-matrix applies of the l <= 3 claims did; a
-#: product hands each factor a stack of blocks, so at l = 5 a part is still
-#: several matrices for every channel.
-APPLY_STACK_BYTES = 256 * 1024
 
 
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -98,7 +127,11 @@ class KrausChannel:
 
     @functools.cached_property
     def choi(self) -> np.ndarray:
-        """Choi matrix, shape (dim^2, dim^2), built on first read and read-only."""
+        """Dense Choi matrix, shape (dim^2, dim^2), built on first read and read-only.
+
+        The checks and distances never read it: it is the reference for their
+        block-wise paths.
+        """
         return frozen(choi_matrix(self.ops))
 
     @functools.cached_property
@@ -231,7 +264,13 @@ class ProductChannel:
         return _product(self, other)
 
     def pure_output(self, amps: np.ndarray) -> np.ndarray:
-        """(a (x) id)((id (x) b)(psi psi*)) for raw amplitudes psi (not validated)."""
+        """(a (x) id)((id (x) b)(psi psi*)) for raw amplitudes psi (not validated).
+
+        A factor that is itself a product has no Kraus stack of its own, so
+        then the output is ``apply_matrix`` of psi psi*, factor by factor.
+        """
+        if isinstance(self.a, ProductChannel) or isinstance(self.b, ProductChannel):
+            return self.apply_matrix(np.outer(amps, amps.conj()))
         da, db = self.a.dim, self.b.dim
         b_ops = self.b.ops
         # v[j, r_b, r_a] = (B_j psi^T)[r_b, r_a] with psi as a (d_a, d_b) matrix.
@@ -282,11 +321,20 @@ def kraus_channel(ops) -> KrausChannel:
     return KrausChannel(ops=frozen(arr), dim=dim)
 
 
-def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
-    """Frobenius distance between Choi matrices; the channel equality metric."""
+def choi_distance(a: Channel, b: Channel) -> float:
+    """Frobenius distance between Choi matrices; the channel equality metric.
+
+    Summed over the support blocks of both Kraus stacks (``_support_blocks``),
+    each block's difference built from its own operators; an index that no
+    operator touches adds nothing.  No dense Choi matrix is built.
+    """
     if a.dim != b.dim:
         raise UsageError(f"cannot compare channels of dimensions {a.dim} and {b.dim}")
-    return frobenius(a.choi - b.choi)
+    squares = 0.0
+    for va, vb in _support_blocks(a.ops, b.ops):
+        diff = (va.swapaxes(-1, -2) @ va.conj() - vb.swapaxes(-1, -2) @ vb.conj()).reshape(-1)
+        squares += float(diff.real @ diff.real + diff.imag @ diff.imag)
+    return math.sqrt(squares)
 
 
 @dataclass(frozen=True)
@@ -301,43 +349,74 @@ class ChannelChecks:
     completely_positive: bool
 
 
-def _choi_min_eigenvalue(ops: np.ndarray) -> float:
-    """Smallest Choi eigenvalue of a Kraus stack, solved block by block.
+def _support_blocks(*stacks: np.ndarray):
+    """The Choi support blocks of one or two Kraus stacks, one group at a time.
 
-    Choi entry (a, b) = Sum_k vec(K_k)[a] conj(vec(K_k)[b]) is exactly zero
-    unless some operator is nonzero at both a and b.  So the Choi matrix is
-    block diagonal over the connected components of the vec indices, linked
-    where one operator is nonzero at both; an index that no operator touches
-    is a block of its own, with eigenvalue 0.  Each block is
-    Sum_k v_k[S] v_k[S]*, and the blocks of one size go to one stacked
-    ``hermitian_eigvals`` call, which also checks each block's Hermiticity.
-    A dense stack is one block, the whole Choi matrix.
+    Choi entry (a, b) is zero unless some operator is nonzero at both vec
+    indices a and b.  Linked where an operator of either stack is nonzero at
+    both, the indices fall into components over which each stack's Choi
+    matrix is block diagonal, with every nonzero operator in one block; an
+    index that no operator touches is a block with no operators.  Blocks of
+    equal size and equal operator counts form a group.  Yields, per group, one
+    (blocks, count, size) array per stack: row k of block b holds v_k[S_b]
+    for the block's k-th operator of that stack, so the stack's Choi block is
+    the array's transpose times its conjugate.  A dense stack is one block.
     """
-    vecs = ops.reshape(ops.shape[0], -1)
-    m, n = vecs.shape
-    op_at, index_at = np.nonzero(vecs)
+    vecs = [ops.reshape(ops.shape[0], -1) for ops in stacks]
+    n = vecs[0].shape[1]
+    offsets = np.cumsum([0] + [len(v) for v in vecs])
+    found = [np.nonzero(v) for v in vecs]
+    op_at = np.concatenate([at + first for (at, _), first in zip(found, offsets)])
+    index_at = np.concatenate([indices for _, indices in found])
+    # A generator's locals live until its last group: free these lists early.
+    del found
     # Each index is labelled with the smallest index of its component.  A pass
-    # carries every label across one more operator, so the labels settle
-    # within n passes.
+    # carries every label across one more operator; labels only fall, so the
+    # passes end, and once they settle each operator's label is its block's.
     labels = np.arange(n)
-    for _ in range(n):
-        op_label = np.full(m, n)
+    while True:
+        op_label = np.full(offsets[-1], n)  # n: an operator that is zero
         np.minimum.at(op_label, op_at, labels[index_at])
         settled = labels.copy()
         np.minimum.at(settled, index_at, op_label[op_at])
         if np.array_equal(settled, labels):
             break
         labels = settled
+    del op_at, index_at
     order = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    sizes = np.diff(starts, append=n)
-    lowest = math.inf
-    for size in set(sizes.tolist()):
-        members = order[starts[sizes == size][:, None] + np.arange(size)]
-        cols = vecs[:, members].transpose(1, 2, 0)  # (blocks, size, m)
-        blocks = cols @ cols.conj().swapaxes(-1, -2)
-        lowest = min(lowest, float(hermitian_eigvals(blocks)[:, 0].min()))
-    return lowest
+    block_of = np.full(n + 1, -1)
+    block_of[labels[order[starts]]] = np.arange(len(starts))
+    shape = [np.diff(starts, append=n)]  # block sizes, then operator counts
+    op_order, op_starts = [], []
+    for first, last in zip(offsets[:-1], offsets[1:]):
+        block = block_of[op_label[first:last]]
+        counts = np.bincount(block[block >= 0], minlength=len(starts))
+        # Operators in block order, each block's in stack order; zero ones dropped.
+        op_order.append(np.argsort(block, kind="stable")[np.count_nonzero(block < 0):])
+        op_starts.append(np.cumsum(counts) - counts)
+        shape.append(counts)
+    keys, group_of = np.unique(np.stack(shape, axis=1), axis=0, return_inverse=True)
+    group_of = group_of.reshape(-1)
+    for g, (size, *counts) in enumerate(keys.tolist()):
+        blocks = np.flatnonzero(group_of == g)
+        members = order[starts[blocks][:, None] + np.arange(size)]
+        out = []
+        for v, ordered, first, count in zip(vecs, op_order, op_starts, counts):
+            in_block = ordered[first[blocks][:, None] + np.arange(count)]
+            out.append(v[in_block[:, :, None], members[:, None, :]])
+        yield tuple(out)
+
+
+def _choi_min_eigenvalue(ops: np.ndarray) -> float:
+    """Smallest Choi eigenvalue of a Kraus stack, solved block by block.
+
+    The Choi blocks of one group (``_support_blocks``) go to one stacked
+    ``hermitian_eigvals`` call, which also checks each block's Hermiticity.
+    An index that no operator touches is a zero block, eigenvalue 0.
+    """
+    return min(float(hermitian_eigvals(v.swapaxes(-1, -2) @ v.conj())[:, 0].min())
+               for (v,) in _support_blocks(ops))
 
 
 def structural_checks(c) -> ChannelChecks:
@@ -348,6 +427,8 @@ def structural_checks(c) -> ChannelChecks:
     the smallest Choi eigenvalue, is solved by support blocks
     (``_choi_min_eigenvalue``): the whole dim^2 x dim^2 Choi matrix is formed
     only when the operators' support links every vec index into one block.
+    The Gram and unitality sums add up parts of the stack, so no copy of the
+    whole stack is made.
     """
     if isinstance(c, Channel):
         ops, dim = c.ops, c.dim
@@ -358,9 +439,7 @@ def structural_checks(c) -> ChannelChecks:
         dim = ops.shape[1]
     eye = np.eye(dim)
     tp = frobenius(gram_matrix(ops) - eye)
-    # Row i of ``rows`` holds row i of every K_k, so rows rows* = Sum_k K_k K_k*.
-    rows = ops.transpose(1, 0, 2).reshape(dim, -1)
-    unital = frobenius(rows @ rows.conj().T - eye)
+    unital = frobenius(_sum_over_runs(ops, _unitality_term) - eye)
     choi_min = _choi_min_eigenvalue(ops)
     return ChannelChecks(
         tp_residual=tp,

@@ -33,7 +33,7 @@ from .entropy import vn_nats
 from .errors import NumericalError, UsageError, ValidationError
 from .fileio import load_channel, load_state
 from .optimize import min_output_entropy
-from .reporting import Check, timed, to_json
+from .reporting import Check, refusal, timed, to_json
 from .verify import (
     check_additivity,
     check_eq3,
@@ -197,8 +197,7 @@ def _run_verify(cfg: RunConfig) -> list[Check]:
     checks: list[Check] = []
     for claim, run in _VERIFY_RUNNERS.items():
         if claim == "eq9" and eq9_reason is not None:
-            checks.append(Check("eq9", lhs=0.0, rhs=0.0, margin=0.0, tolerance=math.inf, passed=True,
-                                witness={"reason": eq9_reason}, status="refused"))
+            checks.append(refusal("eq9", eq9_reason))
         else:
             checks.extend(run(mono_cfg if claim == "monotonicity" else cfg))
     checks.append(timed(lambda: gradient_suite(seed=cfg.seed, **_batch(cfg))))

@@ -14,7 +14,10 @@ signed zeros takes its text (``0:0``, ``0:-0``, ``-0:0`` or ``-0:-0``) from a
 table; every other entry goes through ``%.17g:%.17g``, which prints the same
 text for those zeros.  A file is therefore byte for byte what formatting every
 entry gives, and a save/load round trip is bit-faithful.  The reader works in
-chunks too.  A header ``dim`` above ``channels.DIM_CAP`` is refused before any
+chunks too.  A file as ``save_channel`` writes it is parsed in slices of at
+most ``CHUNK_BYTES`` of its text, so a load takes the text, the stack and one
+chunk; any other file is split into lines first, so an error keeps its line
+and column.  A header ``dim`` above ``channels.DIM_CAP`` is refused before any
 row is read.
 """
 from __future__ import annotations
@@ -103,37 +106,43 @@ CHUNK_BYTES = 64 * 1024
 _COLON, _COMMA, _NEWLINE, _SPACE, _MINUS, _ZERO = (ord(c) for c in ":,\n -0")
 
 
-def _parse_chunk(text: str, dim: int, rows: int) -> np.ndarray | None:
-    """Floats re, im, re, im, ... of ``rows`` rows, each ended by a newline.
+def _parse_chunk(text: bytes, dim: int, rows: int) -> np.ndarray | None:
+    """Floats re, im, re, im, ... of ``rows`` rows of text, each ended by a newline.
 
     None when the per-entry path must decide: a row whose separators are not
     ``:`` and ``,`` alternating for ``dim`` entries, a token that ``float``
     refuses, or non-ASCII text.  A row matches that pattern exactly when
     ``_parse_row`` splits it into ``dim`` re:im pairs, and ``float`` skips
-    the whitespace that ``_parse_row`` strips, so both give the same bits.
+    the ASCII whitespace that ``_parse_row`` strips, so both give the same
+    bits; ``float`` refuses the other characters ``str.strip`` takes.
     The tokens the writer emits for a zero, ``0`` or ``-0`` with at most one
     space before, are read as +0.0 or -0.0 without a conversion; every other
     token goes through ``float``.
     """
     if not text.isascii():
         return None
-    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    chars = np.frombuffer(text, dtype=np.uint8)
     ends = np.flatnonzero((chars == _COLON) | (chars == _COMMA) | (chars == _NEWLINE))
     pattern = np.array([_COLON, _COMMA] * dim, dtype=np.uint8)
     pattern[-1] = _NEWLINE
     if len(ends) != 2 * dim * rows or not np.array_equal(chars[ends], np.tile(pattern, rows)):
         return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    lengths = ends - starts
-    # An empty token reads its neighbours here (clipped at the end of the
-    # text); the length tests below discard it.
-    head, second = chars[starts], chars[np.minimum(starts + 1, ends)]
-    minus = ((lengths == 2) & (head == _MINUS)) | ((lengths == 3) & (head == _SPACE) & (second == _MINUS))
+    # Each token is the ``lengths`` bytes before its end.  No more than three
+    # arrays of the chunk's token count are alive at once, which bounds a
+    # chunk's memory.  An empty token reads its neighbours here; the length
+    # tests below discard it.
+    lengths = np.diff(ends, prepend=-1)
+    lengths -= 1
+    head = chars[ends - lengths]
+    minus = (lengths == 2) & (head == _MINUS)
+    spaced = np.flatnonzero((lengths == 3) & (head == _SPACE))
+    minus[spaced] = chars[ends[spaced] - 2] == _MINUS
     zero = (chars[ends - 1] == _ZERO) & ((lengths == 1) | ((lengths == 2) & (head == _SPACE)) | minus)
     values = np.where(minus, -0.0, 0.0)
     convert = np.flatnonzero(~zero)
+    bounds = zip((ends[convert] - lengths[convert]).tolist(), ends[convert].tolist())
     try:
-        values[convert] = [float(text[a:b]) for a, b in zip(starts[convert].tolist(), ends[convert].tolist())]
+        values[convert] = [float(text[a:b]) for a, b in bounds]
     except ValueError:
         return None
     return values
@@ -165,7 +174,7 @@ def _parse_matrices(text: str, expect_kraus: bool) -> np.ndarray:
     per_chunk = max(1, CHUNK_BYTES // (max(lengths) + 1))
     for first in range(0, needed, per_chunk):
         chunk = rows[first:first + per_chunk]
-        values = _parse_chunk("\n".join([line for _, line in chunk]) + "\n", dim, len(chunk))
+        values = _parse_chunk(("\n".join([line for _, line in chunk]) + "\n").encode(), dim, len(chunk))
         if values is None:
             for r, (lineno, line) in enumerate(chunk, start=first):
                 flat[r] = _parse_row(lineno, line, dim)
@@ -174,14 +183,73 @@ def _parse_matrices(text: str, expect_kraus: bool) -> np.ndarray:
     return stack
 
 
+#: Bytes that end a line for ``str.splitlines`` besides the newline, and the
+#: comment sign: a file holding none of them, all ASCII, is plain.
+_NOT_PLAIN = tuple(c.encode() for c in "#\r\v\f\x1c\x1d\x1e")
+
+
+def _parse_plain(data: bytes, expect_kraus: bool) -> np.ndarray | None:
+    """The stack of a plain file, or None for the caller to read it line by line.
+
+    A plain file is what ``save_channel`` writes: ASCII, no comments, only
+    newline line ends, and rows that follow the header with no blank line,
+    each ended by a newline.  Its rows go to ``_parse_chunk`` in slices of at
+    most ``CHUNK_BYTES`` that end at a newline, with no list of lines and no
+    copy of the body.  Any other file, and any chunk ``_parse_chunk``
+    refuses, gives None.
+    """
+    if not data.isascii() or any(c in data for c in _NOT_PLAIN):
+        return None
+    header, pos, lineno = [], 0, 0
+    while len(header) < (2 if expect_kraus else 1):
+        end = data.find(b"\n", pos)
+        if end < 0:
+            return None
+        lineno += 1
+        line = data[pos:end].decode("ascii").rstrip()
+        if line:
+            header.append((lineno, line))
+        pos = end + 1
+    try:
+        dim, count, _ = _parse_header(header, expect_kraus)
+    except ParseError:
+        return None
+    needed = dim * count
+    # A row of dim re:im pairs takes at least 4 dim bytes with its newline, so
+    # the stack is allocated only for a body long enough to hold it.
+    if len(data) - pos < needed * 4 * dim or data.count(b"\n", pos) != needed:
+        return None
+    stack = np.empty((count, dim, dim), dtype=complex)
+    flat = stack.reshape(needed, dim)
+    done = 0
+    while done < needed:
+        end = data.rfind(b"\n", pos, pos + CHUNK_BYTES)
+        if end < 0:
+            end = data.find(b"\n", pos)
+        rows = data.count(b"\n", pos, end + 1)
+        values = _parse_chunk(data[pos:end + 1], dim, rows)
+        if values is None:
+            return None
+        flat[done:done + rows] = values.view(complex).reshape(rows, dim)
+        done += rows
+        pos = end + 1
+    return stack if pos == len(data) else None
+
+
+def _load_matrices(path: str | Path, expect_kraus: bool) -> np.ndarray:
+    """The stack of a state or channel file: read whole if plain, else line by line."""
+    stack = _parse_plain(Path(path).read_bytes(), expect_kraus)
+    return stack if stack is not None else _parse_matrices(Path(path).read_text(), expect_kraus)
+
+
 def load_state(path: str | Path) -> DensityMatrix:
     """Parse and validate a state file."""
-    return density_from_matrix(_parse_matrices(Path(path).read_text(), expect_kraus=False)[0])
+    return density_from_matrix(_load_matrices(path, expect_kraus=False)[0])
 
 
 def load_channel(path: str | Path) -> KrausChannel:
     """Parse and validate a channel file."""
-    return kraus_channel(_parse_matrices(Path(path).read_text(), expect_kraus=True))
+    return kraus_channel(_load_matrices(path, expect_kraus=True))
 
 
 #: The text of a pair of signed zeros, indexed by 2 * signbit(re) + signbit(im):

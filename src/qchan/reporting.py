@@ -93,6 +93,13 @@ def verdict(
     )
 
 
+def refusal(claim_id: str, reason: str, witness: dict[str, Any] | None = None,
+            seed: int | None = None) -> Check:
+    """A claim refused for this configuration rather than run: it passes, and its witness gives the reason."""
+    return Check(claim_id, lhs=0.0, rhs=0.0, margin=0.0, tolerance=math.inf, passed=True,
+                 witness={**(witness or {}), "reason": reason}, seed=seed, status="refused")
+
+
 def timed(make: Callable[[], Check]) -> Check:
     """``make()`` stamped with its own wall time in milliseconds."""
     start = time.perf_counter()

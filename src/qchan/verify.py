@@ -49,7 +49,7 @@ from .optimize import (
     max_output_purity,
     min_output_entropy,
 )
-from .reporting import AdditivityReport, Check, timed, verdict
+from .reporting import AdditivityReport, Check, refusal, timed, verdict
 from .rng import substream
 from .states import (
     PureState,
@@ -509,8 +509,9 @@ def verify_prop4(l: int, samples: int = 1000, seed: int = 0) -> tuple[Check, Che
     ``prop4.sampled`` draws q uniformly from [0,1]^(l-1), keeps the vectors
     satisfying q_j <= (1 + Sum_{j<=l-2} q_j)/(l-1) for 1 <= j <= l-2, and
     records the minimum Schur eigenvalue.  Counterexamples are listed with
-    their certificate eigenvalue, not suppressed.  ``prop4.remark`` runs the
-    constant-Q family Q in {0, 0.1, .., 1}.
+    their certificate eigenvalue, not suppressed.  When no draw meets the
+    condition, as at l >= 11 for 1000 draws, nothing is tested and the claim
+    is refused.  ``prop4.remark`` runs the constant-Q family Q in {0, 0.1, .., 1}.
     """
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
@@ -535,11 +536,14 @@ def verify_prop4(l: int, samples: int = 1000, seed: int = 0) -> tuple[Check, Che
             min_margin = min(min_margin, margin)
             if margin < -PROP4_TOL:
                 violations.append({"q": [float(v) for v in q], "min_eigenvalue": margin})
-        return verdict(
-            "prop4.sampled", lhs=min_margin, rhs=0.0, tolerance=PROP4_TOL, seed=seed,
-            witness={"l": l, "samples": samples, "condition_hits": hits,
-                     "violation_count": len(violations), "violations": violations},
-        )
+        witness = {"l": l, "samples": samples, "condition_hits": hits,
+                   "violation_count": len(violations), "violations": violations}
+        if hits == 0:
+            # Nothing was checked, so there is no margin to report.
+            return refusal("prop4.sampled", f"none of {samples} draws meets the averaging condition",
+                           witness, seed)
+        return verdict("prop4.sampled", lhs=min_margin, rhs=0.0, tolerance=PROP4_TOL, seed=seed,
+                       witness=witness)
 
     def remark() -> Check:
         margins = []

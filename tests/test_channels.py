@@ -218,6 +218,59 @@ def test_structural_checks_solve_for_eigenvalues_only(monkeypatch):
     assert abs(structural_checks(c).choi_min_eigenvalue - dense) <= 1e-12 * c.dim ** 2
 
 
+# Support blocks (channels._support_blocks) against the dense Choi matrix.
+# A dense stack is one block; the paper's Weyl-covariant channels have one
+# block per shift; a diagonal stack leaves every off-diagonal vec index
+# untouched.  Block sums may differ from the dense products in the last bits.
+
+
+def _xi(l):
+    return phase_damping(l, (0.6,) * (l - 1)).compose(depolarizing(l, 0.3)).reduced()
+
+
+def _with_zero_operator(c):
+    """c's Kraus stack with a zero operator appended: a raw stack, not a channel."""
+    return np.concatenate((c.ops, np.zeros_like(c.ops[:1])))
+
+
+BLOCK_STACKS = {
+    "dense-one-block": lambda: random_channel(3, 4, seed=61).ops,
+    "weyl-many-blocks": lambda: _xi(5).ops,
+    "weyl-square": lambda: _xi(3).tensor(_xi(3)).reduced().ops,
+    "untouched-index": lambda: phase_damping(4, (0.7, 0.7, 0.7)).ops,
+    "untouched-and-zero-operator": lambda: _with_zero_operator(phase_damping(3, (0.5, 0.2))),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_STACKS)
+def test_block_min_eigenvalue_against_the_dense_choi(name):
+    ops = BLOCK_STACKS[name]()
+    dense = np.linalg.eigvalsh(choi_matrix(ops))[0]
+    assert abs(channels_mod._choi_min_eigenvalue(ops) - dense) <= 1e-13
+    if name.startswith("untouched"):
+        assert channels_mod._choi_min_eigenvalue(ops) == 0.0
+
+
+BLOCK_PAIRS = {
+    "dense-one-block": lambda: (random_channel(3, 4, seed=62), random_channel(3, 9, seed=63)),
+    "weyl-same-support": lambda: (_xi(3), depolarizing(3, 0.3)),
+    "weyl-square": lambda: (_xi(3).tensor(_xi(3)).reduced(), depolarizing(9, 0.2)),
+    "untouched-by-both": lambda: (phase_damping(4, (0.7, 0.7, 0.7)), phase_damping(4, (0.3, 0.3, 0.3))),
+    "different-supports": lambda: (phase_damping(3, (0.5, 0.2)), depolarizing(3, 0.7)),
+    "dense-against-sparse": lambda: (random_channel(3, 4, seed=64), _xi(3)),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_PAIRS)
+def test_block_choi_distance_against_the_dense_choi(name):
+    a, b = BLOCK_PAIRS[name]()
+    got = choi_distance(a, b)
+    assert "choi" not in vars(a) and "choi" not in vars(b)  # no dense Choi matrix was built
+    assert abs(got - frobenius(a.choi - b.choi)) <= 1e-13
+    assert abs(choi_distance(b, a) - got) <= 1e-13
+    assert choi_distance(a, a) == 0.0
+
+
 def test_structural_checks_flags_broken_kraus():
     bad = np.array([[[1.0, 0.0], [0.0, 0.5]]], dtype=complex)
     checks = structural_checks(bad)

@@ -321,6 +321,22 @@ def test_theorem_checks_are_timed_one_by_one(tmp_path):
     assert sum(elapsed) <= report["wall_clock_ms"]
 
 
+def test_prop4_with_no_draw_meeting_the_condition_is_refused(tmp_path):
+    # At l = 11 none of 1000 draws (seed 1) meets the averaging condition, so
+    # nothing is tested; at l = 7 ten do and the claim runs.
+    code, report = run_cli(["verify", "prop4", "--l", "11", "--samples", "1000", "--seed", "1"], tmp_path)
+    assert code == 0 and report["pass"] is True
+    sampled, remark = report["checks"]
+    assert sampled["id"] == "prop4.sampled" and sampled["status"] == "refused"
+    assert sampled["witness"]["condition_hits"] == 0 and "1000 draws" in sampled["witness"]["reason"]
+    assert (sampled["lhs"], sampled["margin"], sampled["tolerance"]) == (0, 0, "inf")
+    assert "status" not in remark
+    _, ran = run_cli(["verify", "prop4", "--l", "7", "--samples", "1000", "--seed", "1"], tmp_path, "l7.json")
+    assert "status" not in ran["checks"][0] and ran["checks"][0]["witness"]["condition_hits"] == 10
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(report, _schema())
+
+
 def test_prop4_checks_are_timed_one_by_one(tmp_path):
     code, report = run_cli(["verify", "prop4", "--l", "3", "--samples", "200"], tmp_path)
     assert code == 0

@@ -290,10 +290,12 @@ def test_nested_products_against_the_dense_stack(nest):
         abc, dense = a.tensor(b.tensor(a)), ref_tensor(a.ops, ref_tensor(b.ops, a.ops))
     else:
         abc, dense = a.tensor(a).tensor(a), ref_tensor(ref_tensor(a.ops, a.ops), a.ops)
+    inner = abc.b if nest == "right" else abc.a
     amps, y, stack = _product_operands(abc, 31)
     assert_close(abc.pure_output(amps), ref_pure_output(dense, amps), abc.dim)
+    assert "dense" not in vars(inner)  # a nested product's output goes factor by factor
     _assert_applies_match(abc, dense, y, stack)
-    assert "dense" not in vars(abc)
+    assert "dense" not in vars(abc) and "dense" not in vars(inner)
     assert_close(abc.ops, dense, abc.dim)
 
 

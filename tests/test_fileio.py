@@ -6,7 +6,7 @@ import pytest
 
 from qchan import channels as channels_mod
 from qchan import fileio
-from qchan.channels import choi_distance, depolarizing, phase_damping
+from qchan.channels import choi_distance, depolarizing, kraus_channel, phase_damping, structural_checks
 from qchan.errors import CapacityError, NotPositiveError, ValidationError
 from qchan.fileio import ParseError, load_channel, load_state, save_channel
 from qchan.states import density_from_matrix
@@ -178,14 +178,33 @@ def test_saved_square_matches_per_entry_form(tmp_path, l5_square):
     assert path.read_bytes() == expected.encode("ascii")
 
 
-def test_save_channel_memory_is_bounded_by_a_chunk(tmp_path, l5_square):
+def _peak_bytes(run) -> int:
+    """Peak of the Python and numpy allocations ``run()`` makes, in bytes."""
     tracemalloc.start()
     try:
-        save_channel(tmp_path / "square.txt", l5_square)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+
+
+def test_save_channel_memory_is_bounded_by_a_chunk(tmp_path, l5_square):
+    assert _peak_bytes(lambda: save_channel(tmp_path / "square.txt", l5_square)) < 1_000_000
+
+
+def test_checks_and_choi_distance_of_the_square_make_no_dense_copy(l5_square):
+    # The stack is 6.25 MB and its dense Choi matrix as large again.
+    copy = kraus_channel(np.array(l5_square.ops))
+    assert _peak_bytes(lambda: structural_checks(l5_square)) < 3_000_000
+    assert _peak_bytes(lambda: choi_distance(l5_square, copy)) < 3_000_000
+    assert _peak_bytes(lambda: kraus_channel(copy.ops)) < 1_000_000
+
+
+def test_load_channel_memory_is_the_text_the_stack_and_a_chunk(tmp_path, l5_square):
+    path = tmp_path / "square.txt"
+    save_channel(path, l5_square)
+    bound = path.stat().st_size + l5_square.ops.nbytes + 1_000_000
+    assert _peak_bytes(lambda: load_channel(path)) < bound
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 9])

@@ -13,11 +13,15 @@ pair to pair.  Every run lasts BENCHMARK.json's ``run_seconds``.  Both sides
 run the same ``perfbench/run.py`` arguments, and each side runs its own copy
 of the benchmark.
 
+After the pairs, each side runs once more with ``--trace 1``, the parent
+first, so a change that makes a traced run take longer shows here.
+
 The result goes to ``BENCH_<label>.json`` (the label defaults to the
 workload's name): the revisions, workload, seed and seconds, every run's side,
-pair and order with its final JSON line, and per side the median and quartiles
-of each end-to-end metric, with the number of pairs the change wins on each
-(ties count for neither side).
+pair, order and wall seconds with its final JSON line, per side the median and
+quartiles of each end-to-end metric, with the number of pairs the change wins
+on each (ties count for neither side), and per side the traced run's wall
+seconds and exit status.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,13 +57,20 @@ def extract(revision: str, into: Path) -> None:
             tar.extractall(into)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON line of one untraced benchmark run in ``tree``."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> tuple[subprocess.CompletedProcess, float]:
+    """One benchmark run in ``tree`` and its wall seconds."""
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", repr(seconds), "--trace", "0"],
+         "--seconds", repr(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
+    return proc, time.perf_counter() - start
+
+
+def final_line(proc: subprocess.CompletedProcess, tree: Path) -> dict:
+    """The final JSON line of a run that succeeded."""
     if proc.returncode != 0:
         raise RuntimeError(f"benchmark run in {tree} exited with {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -111,11 +123,18 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
-                result = run_once(trees[side], args.workload, args.seed, seconds)
-                record["runs"].append({"pair": pair, "side": side, "order": position, "result": result})
+                proc, wall = run_once(trees[side], args.workload, args.seed, seconds)
+                result = final_line(proc, trees[side])
+                record["runs"].append({"pair": pair, "side": side, "order": position,
+                                       "wall_s": wall, "result": result})
                 p50 = result["metrics"]["job_s_p50"]["value"]
                 print(f"pair {pair} {side:<6} job_s_p50 {p50:.6f} s, "
-                      f"{result['attempted']} jobs, {result['failed']} failed", flush=True)
+                      f"{result['attempted']} jobs, {result['failed']} failed, wall {wall:.1f} s", flush=True)
+        record["traced"] = {}
+        for side in ("parent", "change"):
+            proc, wall = run_once(trees[side], args.workload, args.seed, seconds, trace=1)
+            record["traced"][side] = {"wall_s": wall, "exit_status": proc.returncode}
+            print(f"traced {side:<6} wall {wall:.1f} s, exit status {proc.returncode}", flush=True)
     record["summary"] = summarize(record["runs"], better)
     out = ROOT / f"BENCH_{args.label or args.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
