@@ -309,11 +309,14 @@ def kraus_channel(ops) -> KrausChannel:
     arr = np.asarray(ops, dtype=complex)
     if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != arr.shape[2]:
         raise ValidationError(f"expected a nonempty stack of square Kraus operators, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("Kraus operators must have finite entries")
     dim = arr.shape[1]
-    tp_residual = frobenius(gram_matrix(arr) - np.eye(dim))
-    if tp_residual > TP_TOL * dim:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = gram_matrix(arr)
+        tp_residual = frobenius(gram - np.eye(dim))
+    # A non-finite entry makes the Gram non-finite, and so do huge finite ones.
+    if not np.isfinite(gram).all() and _sum_over_runs(arr, lambda run: int(not np.isfinite(run).all())):
+        raise ValidationError("Kraus operators must have finite entries")
+    if not tp_residual <= TP_TOL * dim:
         raise ValidationError(
             f"trace preservation violated: ||Sum K*K - I||_F = {tp_residual:.3e} "
             f"exceeds {TP_TOL:.0e} * dim"

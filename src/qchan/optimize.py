@@ -6,8 +6,10 @@ with the normalize retraction.  Each line search starts from the
 Barzilai-Borwein (BB1) trial step Re<s,s> / Re<s,y>, where s is the last
 accepted displacement and y the change in gradient across it (Barzilai &
 Borwein, IMA J. Numer. Anal. 8, 1988), clamped to [BB_STEP_MIN, BB_STEP_MAX].
-The first line search, and any after a step with Re<s,y> <= 0, starts from
-INITIAL_STEP instead.  Backtracking keeps every accepted step a decrease of the
+The first line search starts from INITIAL_STEP.  After a step with
+Re<s,y> <= 0 (f concave along it, so BB gives no scale) the next starts from
+twice that step, at most BB_STEP_MAX (Birgin, Martinez & Raydan, SIAM J.
+Optim. 10, 2000).  Backtracking keeps every accepted step a decrease of the
 objective.  A line search ends without a step once a halved step's whole
 first-order decrease, step * |g|^2, is at or below the float resolution of the
 objective, eps * max(1, |f|): no step that short can show a decrease.
@@ -179,7 +181,7 @@ def _descend(evaluate: Evaluate, start: np.ndarray, max_iter: int, tol: float) -
         if sy > 0.0:
             step = min(max(np.vdot(s, s).real / sy, BB_STEP_MIN), BB_STEP_MAX)
         else:
-            step = INITIAL_STEP
+            step = min(step / BACKTRACK, BB_STEP_MAX)
         iterations += 1
     return OptimizationResult(
         value=f, argmin=PureState(amps), iterations=iterations,

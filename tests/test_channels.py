@@ -293,6 +293,24 @@ def test_kraus_channel_rejects_nonfinite(bad):
         kraus_channel(ops)
 
 
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_kraus_channel_finds_a_nonfinite_entry_in_any_run(monkeypatch, bad, at):
+    # A run of one operator each: the scan must reach every run of the stack.
+    monkeypatch.setattr(channels_mod, "APPLY_STACK_BYTES", 1)
+    ops = random_channel(3, 7, seed=5).ops.copy()
+    ops[at, 2, 1] = bad
+    with pytest.raises(ValidationError, match="Kraus operators must have finite entries"):
+        kraus_channel(ops)
+
+
+@pytest.mark.parametrize("big", [1e200, complex(1e200, 1e200)])
+def test_kraus_channel_huge_finite_entries_fail_trace_preservation(big):
+    # The Gram overflows to inf (or to NaN for complex entries), yet every entry is finite.
+    with pytest.raises(ValidationError, match="trace preservation violated"):
+        kraus_channel(np.full((2, 2, 2), big, dtype=complex))
+
+
 # --------------------------------------------------------------- depolarizing
 
 

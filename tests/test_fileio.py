@@ -53,6 +53,21 @@ def test_identity_channel_file(tmp_path):
     assert choi_distance(c, depolarizing(2, 0.0)) < 1e-12
 
 
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_channel_file_with_a_nonfinite_entry_is_refused(tmp_path, token):
+    path = tmp_path / "chan.txt"
+    path.write_text(f"dim 2\nkraus 2\n1:0, 0:0\n0:0, 1:0\n0:0, 0:0\n0:{token}, 0:0\n")
+    with pytest.raises(ValidationError, match="Kraus operators must have finite entries"):
+        load_channel(path)
+
+
+def test_channel_file_with_huge_finite_entries_fails_trace_preservation(tmp_path):
+    path = tmp_path / "chan.txt"
+    path.write_text("dim 2\nkraus 1\n1e200:0, 0:0\n0:0, 1e200:0\n")
+    with pytest.raises(ValidationError, match="trace preservation violated"):
+        load_channel(path)
+
 def test_parse_error_bad_header(tmp_path):
     path = tmp_path / "state.txt"
     path.write_text("size 2\n1:0, 0:0\n0:0, 1:0\n")

@@ -227,10 +227,10 @@ def test_descent_evaluates_each_point_once(monkeypatch, product):
 
 def test_descent_ends_line_search_at_float_resolution():
     # From this start the Armijo demand of the last line search falls below the
-    # float resolution of f while |g| is still just above tol.  Halving that
-    # step on down to 1e-18 costs 494 value and 18 gradient evaluations and
-    # leaves |g| where it was; ending at float resolution costs 10 evaluations
-    # and 8 gradients.
+    # float resolution of f at its first halving, while |g| = 5.2e-9 is still
+    # above tol.  Halving that step on down to 1e-18 would cost 60 more value
+    # evaluations and leave |g| where it was; ending at float resolution costs
+    # 8 evaluations and 6 gradients in all.
     p = 0.4024362687342006
     xi = phase_damping(3, (0.4153328120539328, 0.9172105610445986)).compose(depolarizing(3, p)).reduced()
     evaluate = _entropy_objective(xi)
@@ -240,7 +240,7 @@ def test_descent_ends_line_search_at_float_resolution():
         calls.append(amps)
         return evaluate(amps)
 
-    start = random_pure_from(substream(3418362925, 2, 0), 3).amplitudes
+    start = random_pure_from(substream(3418362925, 2, 10), 3).amplitudes
     res = _descend(counting, start, max_iter=20000, tol=1e-9)
     assert len(calls) <= 40
     assert res.value == pytest.approx(depolarizing_entropy_constant(3, p), abs=1e-12)
@@ -274,6 +274,77 @@ def test_descent_at_a_non_finite_point_raises(where, bad):
     with pytest.raises(NumericalError, match="non-finite"):
         _descend(evaluate, random_pure_from(substream(17), 3).amplitudes, max_iter=50, tol=1e-9)
     assert len(calls) <= 2
+
+
+def _damped(l, p, q):
+    return phase_damping(l, q).compose(depolarizing(l, p)).reduced()
+
+
+def test_descent_crosses_a_concave_stretch_without_crawling():
+    # At high p the outputs are nearly maximally mixed and the first steps
+    # cross a stretch where the entropy is concave along the path (Re<s,y> < 0).
+    # A descent that restarts each line search there at step 1 takes 71
+    # iterations from this start.
+    p = 0.880
+    xi = _damped(3, p, (0.856, 0.5))
+    start = random_pure_from(substream(1, 1, 0), 3).amplitudes
+    res = _descend(_entropy_objective(xi), start, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL)
+    assert res.value == pytest.approx(depolarizing_entropy_constant(3, p), abs=1e-12)
+    assert res.converged
+    assert res.iterations <= 20
+
+
+def test_no_damped_descent_crawls_over_the_workload_range():
+    # 200 (p, q) points over p in [0.2, 0.9], q in [0.3, 0.9] on a golden-ratio
+    # lattice, one random start each.  With step-1 restarts after Re<s,y> <= 0
+    # the longest of these descents took 111 iterations.
+    golden, silver = (math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0
+    for i in range(200):
+        p = 0.2 + 0.7 * ((i * golden) % 1.0)
+        q = 0.3 + 0.6 * ((i * silver) % 1.0)
+        res = min_output_entropy(_damped(3, p, (q, 0.5)), restarts=1, seed=i, seed_path=(1,))
+        assert res.iterations <= 30, (p, q)
+        assert res.value == pytest.approx(depolarizing_entropy_constant(3, p), abs=1e-12), (p, q)
+
+
+def test_trial_step_doubles_after_a_concave_step():
+    # f(psi) = <psi, Z psi> is cos(2 theta) along psi = (cos theta, sin theta):
+    # concave for theta < pi/4 and convex beyond, down to its minimum -1 at
+    # theta = pi/2.  Every accepted step must still lower f, and each line
+    # search after a step with Re<s,y> <= 0 must start from twice that step.
+    z = np.array([1.0, -1.0])
+    points, accepted = [], []
+
+    def grad_at(amps):
+        return 2.0 * (z * amps - np.vdot(amps, z * amps).real * amps)
+
+    def evaluate(amps):
+        points.append(amps)
+        f = float(np.vdot(amps, z * amps).real)
+
+        def gradient():
+            accepted.append((len(points) - 1, f))
+            return grad_at(amps)
+
+        return f, gradient
+
+    def step_to(base, cand):
+        # cand is base - step * g normalized, with g orthogonal to base.
+        g = grad_at(base)
+        return -np.vdot(g, cand).real / (np.vdot(g, g).real * np.vdot(base, cand).real)
+
+    theta = 0.01
+    res = _descend(evaluate, np.array([math.cos(theta), math.sin(theta)], dtype=complex), 100, 1e-9)
+    assert res.value == pytest.approx(-1.0, abs=1e-12)
+    assert (np.diff([f for _, f in accepted]) < 0.0).all()
+    doubled = 0
+    # Every accepted point but the last is followed by a line search.
+    for (i, _), (j, _) in zip(accepted, accepted[1:-1]):
+        base, here = points[i], points[j]
+        if np.vdot(here - base, grad_at(here) - grad_at(base)).real <= 0.0:
+            assert step_to(here, points[j + 1]) == pytest.approx(2.0 * step_to(base, here), rel=1e-9)
+            doubled += 1
+    assert doubled >= 2
 
 
 @pytest.mark.parametrize("reason", ["gradient_tol", "float_resolution", "max_iter"])

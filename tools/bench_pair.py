@@ -21,7 +21,9 @@ workload's name): the revisions, workload, seed and seconds, every run's side,
 pair, order and wall seconds with its final JSON line, per side the median and
 quartiles of each end-to-end metric, with the number of pairs the change wins
 on each (ties count for neither side), and per side the traced run's wall
-seconds and exit status.
+seconds, exit status, jobs (``attempted`` in its final JSON line: the
+untraced and the traced half together) and spans written, so a longer traced
+run reads as more jobs or as slower ones.
 """
 from __future__ import annotations
 
@@ -74,6 +76,14 @@ def final_line(proc: subprocess.CompletedProcess, tree: Path) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"benchmark run in {tree} exited with {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def traced_counts(proc: subprocess.CompletedProcess) -> tuple[int | None, int | None]:
+    """A traced run's job count (``attempted``) and span count; None where its output lacks one."""
+    lines = proc.stdout.strip().splitlines()
+    jobs = json.loads(lines[-1]).get("attempted") if proc.returncode == 0 and lines else None
+    spans = next((int(line.split()[0]) for line in lines if " spans written to " in line), None)
+    return jobs, spans
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -133,8 +143,10 @@ def main(argv: list[str] | None = None) -> int:
         record["traced"] = {}
         for side in ("parent", "change"):
             proc, wall = run_once(trees[side], args.workload, args.seed, seconds, trace=1)
-            record["traced"][side] = {"wall_s": wall, "exit_status": proc.returncode}
-            print(f"traced {side:<6} wall {wall:.1f} s, exit status {proc.returncode}", flush=True)
+            jobs, spans = traced_counts(proc)
+            record["traced"][side] = {"wall_s": wall, "exit_status": proc.returncode, "jobs": jobs, "spans": spans}
+            print(f"traced {side:<6} wall {wall:.1f} s, exit status {proc.returncode}, "
+                  f"{jobs} jobs, {spans} spans", flush=True)
     record["summary"] = summarize(record["runs"], better)
     out = ROOT / f"BENCH_{args.label or args.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
