@@ -8,17 +8,13 @@ Format (one matrix row per line, ``#`` starts a comment, blank lines ignored)::
     0:0, 0.70710678118654752:0
 
 A state file holds one dim x dim matrix; a channel file holds ``kraus`` many,
-stacked.  ``save_channel`` streams the rows to the file in chunks of at most
-``CHUNK_BYTES`` of text, so its memory is bounded by one chunk.  A pair of
-signed zeros takes its text (``0:0``, ``0:-0``, ``-0:0`` or ``-0:-0``) from a
-table; every other entry goes through ``%.17g:%.17g``, which prints the same
-text for those zeros.  A file is therefore byte for byte what formatting every
-entry gives, and a save/load round trip is bit-faithful.  The reader works in
-chunks too.  A file as ``save_channel`` writes it is parsed in slices of at
-most ``CHUNK_BYTES`` of its text, so a load takes the text, the stack and one
-chunk; any other file is split into lines first, so an error keeps its line
-and column.  A header ``dim`` above ``channels.DIM_CAP`` is refused before any
-row is read.
+stacked.  The writer and the reader work in chunks of at most ``CHUNK_BYTES`` of
+text.  The writer prints each entry as ``%.17g:%.17g`` would, so a save/load
+round trip is bit-faithful.  One reader takes every file: a load holds at most
+the text, the stack and one chunk (a file it must re-encode first holds up to
+three copies of its text while it does), and an error keeps its line and
+column.  A header ``dim`` above ``channels.DIM_CAP`` is refused before any row
+is read.
 """
 from __future__ import annotations
 
@@ -41,10 +37,10 @@ class ParseError(UsageError):
         self.column = column
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, text) of each line that holds more than a comment or whitespace."""
+def _content_lines(text: str, start: int = 1) -> list[tuple[int, str]]:
+    """(line number, counted from ``start``, text) of each line that holds more than a comment or whitespace."""
     stripped = (raw.partition("#")[0].rstrip() for raw in text.splitlines())
-    return [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
+    return [(lineno, line) for lineno, line in enumerate(stripped, start=start) if line]
 
 
 def _parse_header(lines: list[tuple[int, str]], expect_kraus: bool) -> tuple[int, int, int]:
@@ -148,108 +144,92 @@ def _parse_chunk(text: bytes, dim: int, rows: int) -> np.ndarray | None:
     return values
 
 
-def _parse_matrices(text: str, expect_kraus: bool) -> np.ndarray:
-    """The (kraus, dim, dim) stack of a state or channel file's text.
+def _slices(data: bytes, pos: int, lineno: int):
+    """(line number, text) of each run of lines from ``pos`` (line ``lineno``): ``CHUNK_BYTES`` at most, or one."""
+    while pos < len(data):
+        end = data.rfind(b"\n", pos, pos + CHUNK_BYTES) + 1 or data.index(b"\n", pos) + 1
+        yield lineno, data[pos:end]
+        lineno += data.count(b"\n", pos, end)
+        pos = end
 
-    Rows are read in chunks of about ``CHUNK_BYTES``; a chunk that
-    ``_parse_chunk`` cannot take whole is read row by row, so an error keeps
-    its line and column.
+
+def _count_error(data: bytes, pos: int, lineno: int, needed: int) -> ParseError | None:
+    """The error for a body, from ``pos`` after line ``lineno``, without ``needed`` content rows, or None.
+
+    It names the last content line, or line ``lineno`` when the body has none.
     """
-    lines = _content_lines(text)
-    dim, count, start = _parse_header(lines, expect_kraus)
-    rows = lines[start:]
-    needed = dim * count
-    if len(rows) != needed:
-        where = rows[-1][0] if rows else lines[start - 1][0]
-        raise ParseError(f"expected {needed} matrix rows, found {len(rows)}", where, 1)
-    lengths = [len(line) for _, line in rows]
-    if min(lengths) < 4 * dim - 1:
-        # Too short for dim re:im pairs, so some row is malformed: report the
-        # first one before the stack is allocated, which keeps the allocation
-        # within a few times the size of the text.
-        for lineno, line in rows:
-            _parse_row(lineno, line, dim)
-    stack = np.empty((count, dim, dim), dtype=complex)
-    flat = stack.reshape(needed, dim)
-    per_chunk = max(1, CHUNK_BYTES // (max(lengths) + 1))
-    for first in range(0, needed, per_chunk):
-        chunk = rows[first:first + per_chunk]
-        values = _parse_chunk(("\n".join([line for _, line in chunk]) + "\n").encode(), dim, len(chunk))
-        if values is None:
-            for r, (lineno, line) in enumerate(chunk, start=first):
-                flat[r] = _parse_row(lineno, line, dim)
-        else:
-            flat[first:first + len(chunk)] = values.view(complex).reshape(-1, dim)
-    return stack
+    found, where = 0, lineno
+    for first, chunk in _slices(data, pos, lineno + 1):
+        lines = _content_lines(chunk.decode(), first)
+        found += len(lines)
+        where = lines[-1][0] if lines else where
+    return None if found == needed else ParseError(f"expected {needed} matrix rows, found {found}", where, 1)
 
 
-#: Bytes that end a line for ``str.splitlines`` besides the newline, and the
-#: comment sign: a file holding none of them, all ASCII, is plain.
-_NOT_PLAIN = tuple(c.encode() for c in "#\r\v\f\x1c\x1d\x1e")
+def _parse_matrices(data: bytes, expect_kraus: bool) -> np.ndarray:
+    """The (kraus, dim, dim) stack of a state or channel file's bytes.
 
-
-def _parse_plain(data: bytes, expect_kraus: bool) -> np.ndarray | None:
-    """The stack of a plain file, or None for the caller to read it line by line.
-
-    A plain file is what ``save_channel`` writes: ASCII, no comments, only
-    newline line ends, and rows that follow the header with no blank line,
-    each ended by a newline.  Its rows go to ``_parse_chunk`` in slices of at
-    most ``CHUNK_BYTES`` that end at a newline, with no list of lines and no
-    copy of the body.  Any other file, and any chunk ``_parse_chunk``
-    refuses, gives None.
+    A file that is not ASCII, has a ``str.splitlines`` line end other than the
+    newline or lacks a final newline is first re-encoded with one newline per
+    line, so each line keeps its number.  Each slice of the body goes to
+    ``_parse_chunk``; a refused slice is tried once more as its joined content
+    lines, then row by row with ``_parse_row``, so an error keeps its line and
+    column.  A wrong number of rows is reported before any malformed row.
     """
-    if not data.isascii() or any(c in data for c in _NOT_PLAIN):
-        return None
+    if not data.isascii() or not data.endswith(b"\n") or any(c in data for c in b"\r\v\f\x1c\x1d\x1e"):
+        try:
+            data = ("\n".join(data.decode().splitlines()) + "\n").encode()
+        except UnicodeDecodeError as err:
+            before = (data[:err.start].decode() + "?").splitlines()
+            raise ParseError(f"byte {data[err.start]:#04x} is not UTF-8", len(before), len(before[-1])) from None
     header, pos, lineno = [], 0, 0
-    while len(header) < (2 if expect_kraus else 1):
-        end = data.find(b"\n", pos)
-        if end < 0:
-            return None
+    while len(header) < 1 + expect_kraus and pos < len(data):
+        end = data.index(b"\n", pos) + 1
         lineno += 1
-        line = data[pos:end].decode("ascii").rstrip()
-        if line:
-            header.append((lineno, line))
-        pos = end + 1
-    try:
-        dim, count, _ = _parse_header(header, expect_kraus)
-    except ParseError:
-        return None
+        header += _content_lines(data[pos:end].decode(), lineno)
+        pos = end
+    dim, count, _ = _parse_header(header, expect_kraus)
     needed = dim * count
-    # A row of dim re:im pairs takes at least 4 dim bytes with its newline, so
-    # the stack is allocated only for a body long enough to hold it.
-    if len(data) - pos < needed * 4 * dim or data.count(b"\n", pos) != needed:
-        return None
-    stack = np.empty((count, dim, dim), dtype=complex)
-    flat = stack.reshape(needed, dim)
+    # A row of dim re:im pairs takes at least 4 dim bytes with its newline, so a
+    # shorter body gets no stack: it has too few rows or a bad one, and raises.
+    flat = np.empty((needed, dim), dtype=complex) if len(data) - pos >= needed * 4 * dim else None
     done = 0
-    while done < needed:
-        end = data.rfind(b"\n", pos, pos + CHUNK_BYTES)
-        if end < 0:
-            end = data.find(b"\n", pos)
-        rows = data.count(b"\n", pos, end + 1)
-        values = _parse_chunk(data[pos:end + 1], dim, rows)
+    for first, chunk in _slices(data, pos, lineno + 1):
+        rows = chunk.count(b"\n")
+        values = _parse_chunk(chunk, dim, rows)
         if values is None:
-            return None
-        flat[done:done + rows] = values.view(complex).reshape(rows, dim)
+            lines = _content_lines(chunk.decode(), first)
+            rows = len(lines)
+            values = _parse_chunk("".join(line + "\n" for _, line in lines).encode(), dim, rows)
+            if values is None:
+                try:
+                    values = np.array([_parse_row(n, line, dim) for n, line in lines])
+                except ParseError as err:
+                    raise _count_error(data, pos, lineno, needed) or err
+        if flat is not None and done + rows <= needed:
+            flat[done:done + rows] = values.view(complex).reshape(rows, dim)
         done += rows
-        pos = end + 1
-    return stack if pos == len(data) else None
+    if done != needed:
+        raise _count_error(data, pos, lineno, needed)
+    return flat.reshape(count, dim, dim)
 
 
-def _load_matrices(path: str | Path, expect_kraus: bool) -> np.ndarray:
-    """The stack of a state or channel file: read whole if plain, else line by line."""
-    stack = _parse_plain(Path(path).read_bytes(), expect_kraus)
-    return stack if stack is not None else _parse_matrices(Path(path).read_text(), expect_kraus)
+def _read(path: str | Path) -> bytes:
+    """The bytes of the file at ``path``; one that cannot be read is a usage error."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as err:
+        raise UsageError(f"cannot read {path}: {err.strerror or err}") from None
 
 
 def load_state(path: str | Path) -> DensityMatrix:
     """Parse and validate a state file."""
-    return density_from_matrix(_load_matrices(path, expect_kraus=False)[0])
+    return density_from_matrix(_parse_matrices(_read(path), expect_kraus=False)[0])
 
 
 def load_channel(path: str | Path) -> KrausChannel:
     """Parse and validate a channel file."""
-    return kraus_channel(_load_matrices(path, expect_kraus=True))
+    return kraus_channel(_parse_matrices(_read(path), expect_kraus=True))
 
 
 #: The text of a pair of signed zeros, indexed by 2 * signbit(re) + signbit(im):

@@ -89,6 +89,27 @@ def test_channel_file_broken_tp_exit_two(tmp_path, capsys):
     assert "race preservation" in capsys.readouterr().err
 
 
+# Each command that reads a file, with the flags that name it.
+FILE_COMMANDS = [["channel-info", "--channel", "file", "--channel-file"], ["entropy", "--state-file"]]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=["channel-info", "entropy"])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    header = "dim 1\nkraus 1\n" if command[0] == "channel-info" else "dim 1\n"
+    path.write_bytes(header.encode() + b"1:0 \xff\n")
+    assert main(command + [str(path)]) == 2
+    line = header.count("\n") + 1
+    assert f"line {line}, column 5: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=["channel-info", "entropy"])
+def test_missing_file_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "missing.txt"
+    assert main(command + [str(path)]) == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+
+
 def test_channel_info_depolarizing(tmp_path):
     code, report = run_cli(["channel-info", "--channel", "depolarizing", "--l", "3", "--p", "0.3"], tmp_path)
     assert code == 0

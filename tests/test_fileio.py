@@ -218,8 +218,12 @@ def test_checks_and_choi_distance_of_the_square_make_no_dense_copy(l5_square):
 def test_load_channel_memory_is_the_text_the_stack_and_a_chunk(tmp_path, l5_square):
     path = tmp_path / "square.txt"
     save_channel(path, l5_square)
-    bound = path.stat().st_size + l5_square.ops.nbytes + 1_000_000
-    assert _peak_bytes(lambda: load_channel(path)) < bound
+    text = path.read_bytes()
+    # The saved file, a commented copy and a CRLF copy, which is re-encoded.
+    for data in (text, b"# the l = 5 square\n" + text, text.replace(b"\n", b"\r\n")):
+        path.write_bytes(data)
+        bound = len(data) + l5_square.ops.nbytes + 1_000_000
+        assert _peak_bytes(lambda: load_channel(path)) < bound
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 9])
@@ -255,7 +259,12 @@ def test_parse_row_errors_keep_their_column(line, column, message):
 def _parse_per_entry(text, expect_kraus):
     lines = fileio._content_lines(text)
     dim, count, start = fileio._parse_header(lines, expect_kraus)
-    rows = [fileio._parse_row(lineno, line, dim) for lineno, line in lines[start:]]
+    rows = lines[start:]
+    if len(rows) != dim * count:
+        # A wrong row count is reported before any malformed row.
+        where = rows[-1][0] if rows else lines[start - 1][0]
+        raise ParseError(f"expected {dim * count} matrix rows, found {len(rows)}", where, 1)
+    rows = [fileio._parse_row(lineno, line, dim) for lineno, line in rows]
     return np.array(rows).reshape(count, dim, dim)
 
 
@@ -264,10 +273,10 @@ def _assert_same_parse(text, expect_kraus=True):
         expected = _parse_per_entry(text, expect_kraus)
     except ParseError as err:
         with pytest.raises(ParseError) as got:
-            fileio._parse_matrices(text, expect_kraus)
+            fileio._parse_matrices(text.encode(), expect_kraus)
         assert (got.value.line, got.value.column, str(got.value)) == (err.line, err.column, str(err))
         return None
-    got = fileio._parse_matrices(text, expect_kraus)
+    got = fileio._parse_matrices(text.encode(), expect_kraus)
     assert got.dtype == complex and got.shape == expected.shape
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     return got
@@ -321,8 +330,12 @@ def test_chunked_parse_takes_writer_output_whole(monkeypatch, tmp_path):
 
     monkeypatch.setattr(fileio, "CHUNK_BYTES", 2000)
     monkeypatch.setattr(fileio, "_parse_row", per_entry)
-    again = load_channel(path)
-    assert np.array_equal(again.ops.view(np.uint64), square.ops.view(np.uint64))
+    text = path.read_bytes()
+    # A slice with comments or blank lines is taken whole as its content lines.
+    for data in (text, text.replace(b"\n", b"  # row\n\n"), text.replace(b"\n", b"\r\n")):
+        path.write_bytes(data)
+        again = load_channel(path)
+        assert np.array_equal(again.ops.view(np.uint64), square.ops.view(np.uint64))
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -345,10 +358,56 @@ def test_chunked_parse_error_after_a_chunk_that_passed(monkeypatch, bad, message
 
     monkeypatch.setattr(fileio, "_parse_chunk", recorded)
     with pytest.raises(ParseError, match=message) as err:
-        fileio._parse_matrices(text, True)
+        fileio._parse_matrices(text.encode(), True)
     assert err.value.line == 8
     assert chunked[0] is not None and chunked[-1] is None
     _assert_same_parse(text)
+
+
+def _mutated(rng, text):
+    """``text`` with comments, blank lines, other line ends, non-ASCII, missing or extra rows, or a big header."""
+    lines = text.splitlines()
+    for _ in range(rng.integers(0, 5)):
+        i, j = rng.integers(0, len(lines) + 1), rng.integers(0, len(lines))
+        kind = rng.integers(0, 9)
+        if kind == 0:
+            lines.insert(i, "# comment: 1:0, 0:0 é")
+        elif kind == 1:
+            lines.insert(i, ["", "   ", "\t", " \x1f"][i % 4])
+        elif kind == 2:
+            lines[j] += ["  # trailing", " ", "\t", "\x1f", " é"][i % 5]
+        elif kind == 3:
+            lines[j] = lines[j].replace("0", "١", 1)
+        elif kind == 4 and len(lines) > 1:
+            del lines[j]
+        elif kind == 5:
+            lines.insert(i, lines[j])
+        elif kind == 6 and len(lines) > 1 and lines[1].startswith("kraus"):
+            lines[1] = "kraus 1000000000"
+        elif kind == 7:
+            lines[j] = lines[j].replace(":", ["::", ",", " x:"][i % 3], 1)
+        elif kind == 8:
+            lines.insert(i, ", ".join(["0:0"] * (1 + i % 3)))
+    ends = rng.choice(["\n", "\n", "\r\n", "\r", "\v", "\x85", "\u2028"], size=len(lines))
+    if rng.random() < 0.5:
+        ends[:] = ends[0]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if rng.random() < 0.1 else text
+
+
+@pytest.mark.parametrize("chunk_bytes", [12, 40, 64 * 1024])
+def test_mutated_files_parse_as_per_entry(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(fileio, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(2303)
+    outcomes = set()
+    for case in range(400):
+        dim, count = rng.integers(1, 4), rng.integers(1, 4)
+        if case % 4:
+            text = _channel_text(random_channel(dim, count, seed=case))
+        else:
+            text = f"dim {dim}\n" + "".join(_writes(random_density(dim, dim, seed=case).matrix))
+        outcomes.add(_assert_same_parse(_mutated(rng, text), expect_kraus=bool(case % 4)) is None)
+    assert outcomes == {True, False}
 
 
 def test_state_file_loads_as_before(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from qchan import cli, weyl
 from qchan import verify as verify_mod
-from qchan.channels import depolarizing, identity_channel, phase_damping
+from qchan.channels import depolarizing, identity_channel, kraus_channel, phase_damping
 from qchan.entropy import relative_entropy_nats
 from qchan.errors import UsageError
 from qchan.linalg import partial_trace
@@ -389,6 +389,32 @@ def test_multiplicativity_depolarizing():
     rep = check_multiplicativity(c, c, 2.0, restarts=8, seed=31)
     assert rep.witness["norm_a"] == pytest.approx(math.sqrt(0.625), abs=1e-9)
     assert abs(rep.margin) <= 1e-5
+
+
+def werner_holevo(d):
+    """The Werner-Holevo channel: Kraus operators (|i><j| - |j><i|)/sqrt(2) for i < j."""
+    ops = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            k = np.zeros((d, d), dtype=complex)
+            k[i, j], k[j, i] = 1.0, -1.0
+            ops.append(k / math.sqrt(2.0))
+    return kraus_channel(np.array(ops))
+
+
+@pytest.mark.parametrize("p, violated", [(2.0, False), (4.0, False), (5.0, True), (8.0, True)])
+def test_multiplicativity_werner_holevo_negative_control(p, violated):
+    # The d = 3 Werner-Holevo channel breaks multiplicativity of the maximal
+    # output p-norm for p above about 4.79; the search must find the
+    # violation (margin 4.0e-3 at p = 5, 3.6e-2 at p = 8), not report equality.
+    # Two restarts miss it at p = 5, so the check runs with five.
+    c = werner_holevo(3)
+    rep = check_multiplicativity(c, c, p, restarts=5, seed=0)
+    assert rep.passed == (not violated)
+    if violated:
+        assert rep.margin > 1e-3
+    else:
+        assert abs(rep.margin) <= 1e-12
 
 
 @pytest.mark.parametrize("offset", [-2e-5, -5e-6, 5e-6, 2e-5])

@@ -20,10 +20,21 @@ The result goes to ``BENCH_<label>.json`` (the label defaults to the
 workload's name): the revisions, workload, seed and seconds, every run's side,
 pair, order and wall seconds with its final JSON line, per side the median and
 quartiles of each end-to-end metric, with the number of pairs the change wins
-on each (ties count for neither side), and per side the traced run's wall
-seconds, exit status, jobs (``attempted`` in its final JSON line: the
-untraced and the traced half together) and spans written, so a longer traced
-run reads as more jobs or as slower ones.
+on each (ties count for neither side) and a ``verdict``, and per side the
+traced run's wall seconds, exit status, jobs (``attempted`` in its final JSON
+line: the untraced and the traced half together) and spans written, so a
+longer traced run reads as more jobs or as slower ones.
+
+A metric's ``verdict``, from its BENCHMARK.json ``bound`` and the parent's
+quartiles, is the first of these that holds:
+
+- ``regression``: the change's median is worse than the parent's by more than
+  the bound (as a fraction of the parent's median);
+- ``unresolved``: the parent's quartile spread exceeds the bound times its
+  median, and not every change run beats every parent run;
+- ``gain``: the change wins at least nine tenths of the pairs, and its median
+  is better than the parent's by more than the parent's quartile spread;
+- ``no_change``: any other case.
 """
 from __future__ import annotations
 
@@ -86,10 +97,32 @@ def traced_counts(proc: subprocess.CompletedProcess) -> tuple[int | None, int | 
     return jobs, spans
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change wins."""
+def verdict(sides: dict[str, list[float]], stats: dict[str, dict], wins: int, direction: str,
+            bound: float) -> str:
+    """``regression``, ``unresolved``, ``gain`` or ``no_change``, as the module docstring defines them.
+
+    ``sides`` holds each side's run values and ``stats`` each side's median
+    and quartiles.
+    """
+    sign = 1.0 if direction == "lower" else -1.0  # sign * value: lower is better
+    base = stats["parent"]["median"]
+    gained = sign * (base - stats["change"]["median"])
+    spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+    separated = max(sign * v for v in sides["change"]) < min(sign * v for v in sides["parent"])
+    if -gained > bound * abs(base):
+        return "regression"
+    if spread > bound * abs(base) and not separated:
+        return "unresolved"
+    if wins >= 0.9 * len(sides["parent"]) and gained > spread:
+        return "gain"
+    return "no_change"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the change wins and its verdict."""
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
+        direction = metric["better"]
         sides = {side: {r["pair"]: r["result"]["metrics"][name]["value"] for r in runs if r["side"] == side}
                  for side in ("parent", "change")}
         wins = sum(
@@ -102,7 +135,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             ordered = sorted(values.values())
             q1, median, q3 = statistics.quantiles(ordered, n=4) if len(ordered) > 1 else ordered * 3
             entry[side] = {"median": median, "q1": q1, "q3": q3}
-        out[name] = {**entry, "better": direction, "change_wins": wins, "pairs": len(sides["parent"])}
+        out[name] = {**entry, "better": direction, "change_wins": wins, "pairs": len(sides["parent"]),
+                     "verdict": verdict({side: list(values.values()) for side, values in sides.items()},
+                                        entry, wins, direction, metric["bound"])}
     return out
 
 
@@ -116,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     parent_revision = git("rev-parse", args.parent).strip()
     record = {
         "workload": args.workload,
@@ -147,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             record["traced"][side] = {"wall_s": wall, "exit_status": proc.returncode, "jobs": jobs, "spans": spans}
             print(f"traced {side:<6} wall {wall:.1f} s, exit status {proc.returncode}, "
                   f"{jobs} jobs, {spans} spans", flush=True)
-    record["summary"] = summarize(record["runs"], better)
+    record["summary"] = summarize(record["runs"], metrics)
     out = ROOT / f"BENCH_{args.label or args.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
