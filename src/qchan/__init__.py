@@ -9,16 +9,13 @@ about these channels at small Hilbert-space dimension.
 __version__ = "0.1.0"
 
 from .channels import (
-    ChannelChecks,
     DepolarizingParams,
-    Eq9Decomposition,
-    Eq12Report,
     KrausChannel,
     PhaseDampingParams,
     choi_distance,
     depolarizing,
     eq9_decomposition,
-    eq12_representation,
+    eq12_multiplier,
     identity_channel,
     kraus_channel,
     pauli_qubit,
@@ -75,11 +72,10 @@ from .verify import (
     verify_theorem,
 )
 from .weyl import (
-    OrthogonalResolution,
     SubgroupFamily,
     WeylSystem,
     all_order_l_subgroups,
-    covering_report,
+    covering_counts,
     diagonal_subgroup,
     fixed_point_resolution,
     phase_subgroup,

@@ -16,6 +16,10 @@ A tensor product is a ``ProductChannel``: its pure-state output, its apply
 and its adjoint apply act one factor at a time.  Its dense Kraus stack is
 built only when ``ops``, ``adjoint_ops``, ``choi``, ``compose`` or
 ``reduced()`` reads it.
+
+``structural_checks`` returns the ``channel_info`` ``reporting.Check``; the
+eq9 and eq12 constructions return plain values, from which ``verify`` builds
+their checks.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from .linalg import (
     hermitian_eig,
     hermitian_eigvals,
 )
+from .reporting import Check
 from .states import DensityMatrix, PureState, density_from_matrix
 
 # Trace-preservation / unitality residual limit, scaled by dim.
@@ -103,13 +108,6 @@ def choi_matrix(ops: np.ndarray) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
-def pure_output(ops: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Sum_k K_k psi psi* K_k* for raw amplitudes psi (not validated)."""
-    m, d, _ = ops.shape
-    v = (ops.reshape(m * d, d) @ amps).reshape(m, d)
-    return v.T @ v.conj()
-
-
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Sum_k L_k x R_k for two (m, d, d) stacks; ``x`` may carry leading batch axes."""
     m, d, _ = left.shape
@@ -162,11 +160,13 @@ class KrausChannel:
         """Output density matrix for a pure input (fast path, not revalidated)."""
         if psi.dim != self.dim:
             raise UsageError(f"state dimension {psi.dim} != channel dimension {self.dim}")
-        return pure_output(self.ops, psi.amplitudes)
+        return self.pure_output(psi.amplitudes)
 
     def pure_output(self, amps: np.ndarray) -> np.ndarray:
         """Sum_k K_k psi psi* K_k* for raw amplitudes psi (not validated)."""
-        return pure_output(self.ops, amps)
+        m, d, _ = self.ops.shape
+        v = (self.ops.reshape(m * d, d) @ amps).reshape(m, d)
+        return v.T @ v.conj()
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action Sum_k K_k* y K_k, on one operator or on each of a stack."""
@@ -340,18 +340,6 @@ def choi_distance(a: Channel, b: Channel) -> float:
     return math.sqrt(squares)
 
 
-@dataclass(frozen=True)
-class ChannelChecks:
-    """Structural report: residuals with their pass/fail verdicts."""
-
-    tp_residual: float
-    unitality_residual: float
-    choi_min_eigenvalue: float
-    trace_preserving: bool
-    unital: bool
-    completely_positive: bool
-
-
 def _support_blocks(*stacks: np.ndarray):
     """The Choi support blocks of one or two Kraus stacks, one group at a time.
 
@@ -422,12 +410,14 @@ def _choi_min_eigenvalue(ops: np.ndarray) -> float:
                for (v,) in _support_blocks(ops))
 
 
-def structural_checks(c) -> ChannelChecks:
-    """Trace preservation, unitality and CP margins.
+def structural_checks(c) -> Check:
+    """The ``channel_info`` check: trace preservation, unitality and CP margins.
 
-    Accepts a channel in either form or a raw operator stack, so invalid Kraus
-    sets (which the constructor refuses) can still be diagnosed.  The CP margin,
-    the smallest Choi eigenvalue, is solved by support blocks
+    Its margin is the smallest Choi eigenvalue, and it passes when the map is
+    trace preserving and CP; the witness carries every residual and verdict.
+    Accepts a channel in either form or a raw operator stack, so invalid
+    Kraus sets (which the constructor refuses) can still be diagnosed.  The
+    smallest Choi eigenvalue is solved by support blocks
     (``_choi_min_eigenvalue``): the whole dim^2 x dim^2 Choi matrix is formed
     only when the operators' support links every vec index into one block.
     The Gram and unitality sums add up parts of the stack, so no copy of the
@@ -444,14 +434,11 @@ def structural_checks(c) -> ChannelChecks:
     tp = frobenius(gram_matrix(ops) - eye)
     unital = frobenius(_sum_over_runs(ops, _unitality_term) - eye)
     choi_min = _choi_min_eigenvalue(ops)
-    return ChannelChecks(
-        tp_residual=tp,
-        unitality_residual=unital,
-        choi_min_eigenvalue=choi_min,
-        trace_preserving=tp <= TP_TOL * dim,
-        unital=unital <= TP_TOL * dim,
-        completely_positive=choi_min >= -CP_EIG_TOL,
-    )
+    witness = {"dim": dim, "kraus_count": int(ops.shape[0]), "tp_residual": tp, "unitality_residual": unital,
+               "choi_min_eigenvalue": choi_min, "trace_preserving": tp <= TP_TOL * dim,
+               "unital": unital <= TP_TOL * dim, "completely_positive": choi_min >= -CP_EIG_TOL}
+    return Check("channel_info", lhs=choi_min, rhs=0.0, margin=choi_min, tolerance=CP_EIG_TOL,
+                 passed=witness["trace_preserving"] and witness["completely_positive"], witness=witness)
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -602,23 +589,6 @@ def random_channel_from(rng: np.random.Generator, dim: int, kraus_count: int) ->
 # Coset decomposition of the depolarizing channel
 
 
-@dataclass(frozen=True)
-class Eq9Decomposition:
-    """Depolarizing channel rebuilt from subgroup mixtures and phase conjugations.
-
-    reconstruction = c0 * Sum_k Phi_k + c1 * Sum_k Sum_{s>=1} U_(0,s) Phi_k(.) U_(0,s)*
-    with Phi_k the lambda-mixture over the subgroup G0k.
-    """
-
-    l: int
-    p: float
-    c0: float
-    c1: float
-    lam: tuple[float, ...]
-    reconstruction: KrausChannel
-    choi_distance_to_depolarizing: float
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -634,15 +604,20 @@ def eq9_refusal(l: int) -> str | None:
     """
     if _is_prime(l):
         return None
-    gap = weyl_mod.covering_report(weyl_mod.weyl_system(l))
+    counts = weyl_mod.covering_counts(weyl_mod.weyl_system(l))
+    missing = sorted(g for g, count in counts.items() if count == 0)
     return (
         f"coset decomposition needs prime l; for l={l} the order-l subgroups "
-        f"miss elements {list(gap.missing)[:4]}{'...' if len(gap.missing) > 4 else ''}"
+        f"miss elements {missing[:4]}{'...' if len(missing) > 4 else ''}"
     )
 
 
-def eq9_decomposition(l: int, p: float) -> Eq9Decomposition:
-    """Build and verify the coset decomposition; refused (UsageError) unless l is prime."""
+def eq9_decomposition(l: int, p: float) -> tuple[KrausChannel, float, float]:
+    """(reconstruction, c0, c1) of the coset decomposition; refused (UsageError) unless l is prime.
+
+    reconstruction = c0 * Sum_k Phi_k + c1 * Sum_k Sum_{s>=1} U_(0,s) Phi_k(.) U_(0,s)*
+    with Phi_k the lambda-mixture over the subgroup G0k.
+    """
     DepolarizingParams(l=l, p=p)
     reason = eq9_refusal(l)
     if reason is not None:
@@ -656,58 +631,26 @@ def eq9_decomposition(l: int, p: float) -> Eq9Decomposition:
     for k in range(l):
         family = weyl_mod.diagonal_subgroup(system, k)
         members = [system.unitary(g) for g in family.elements]
-        for s, u in zip(lam, members):
-            w = c0 * s
-            if w > 0.0:
-                ops.append(math.sqrt(w) * u)
-        for sp in range(1, l):
+        for sp in range(l):
             phase_u = system.unitary((0, sp))
             for s, u in zip(lam, members):
-                w = c1 * s
+                w = (c1 if sp else c0) * s
                 if w > 0.0:
                     ops.append(math.sqrt(w) * (phase_u @ u))
-    reconstruction = kraus_channel(np.array(ops))
-    dist = choi_distance(reconstruction, depolarizing(l, p))
-    return Eq9Decomposition(
-        l=l,
-        p=p,
-        c0=c0,
-        c1=c1,
-        lam=lam,
-        reconstruction=reconstruction,
-        choi_distance_to_depolarizing=dist,
-    )
+    return kraus_channel(np.array(ops)), c0, c1
 
 
 # ---------------------------------------------------------------------------
 # Diagnostic reconstruction of the damping map from difference conjugations
 
 
-@dataclass(frozen=True)
-class Eq12Report:
-    """Residual of the difference-projection representation of phase damping.
+def eq12_multiplier(params: PhaseDampingParams) -> tuple[np.ndarray, float]:
+    """(multiplier, q_bar) of the difference-projection form of phase damping.
 
-    The represented map is q_bar x + Sum_{s=1}^{l-2} Sum_{|r-j|=s, r<j}
-    (q_bar - q_s) D_rj x D_rj + (q_bar - q_1) D_1l x D_1l with
-    D_rj = |e_r><e_r| - |e_j><e_j| and q_bar = (1 + Sum_{j<=l-2} q_j)/(l-1).
-    The residual against the damping map is reported, not asserted zero: the
-    representation does not reproduce the diagonal action in general.
-    """
-
-    l: int
-    q_bar: float
-    reconstruction_residual: float
-    entry_residuals: np.ndarray
-
-
-def eq12_representation(params: PhaseDampingParams) -> Eq12Report:
-    """Residuals of the difference-projection map against the damping map, entry by entry.
-
-    Each D_rj = diag(d) is diagonal, so D x D = (d d^T) o x and the represented
-    map is the Schur multiplier q_bar + Sum coeff * d d^T.  Entry (a, b) of its
-    residual is |multiplier[a, b] - C[a, b]|, the distance between the two maps
-    on the matrix unit |e_a><e_b|.  The terms are summed in the order of the
-    map's definition: s outer, r inner, then the corner term.
+    The map q_bar x + Sum_{s=1}^{l-2} Sum_{|r-j|=s, r<j} (q_bar - q_s) D_rj x D_rj
+    + (q_bar - q_1) D_1l x D_1l, with D_rj = |e_r><e_r| - |e_j><e_j| = diag(d) and
+    q_bar = (1 + Sum_{j<=l-2} q_j)/(l-1), is the Schur multiplier q_bar + Sum coeff * d d^T
+    (D x D = (d d^T) o x), summed s outer, r inner, then the corner term.
     """
     l = params.l
     q = params.q
@@ -723,6 +666,4 @@ def eq12_representation(params: PhaseDampingParams) -> Eq12Report:
     multiplier = np.full((l, l), q_bar)
     for coeff, d in terms:
         multiplier = multiplier + coeff * np.outer(d, d)
-    entry = np.abs(multiplier - schur_matrix(params))
-    residual = float(np.sqrt((entry ** 2).sum()))
-    return Eq12Report(l=l, q_bar=q_bar, reconstruction_residual=residual, entry_residuals=frozen(entry))
+    return multiplier, q_bar

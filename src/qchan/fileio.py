@@ -11,13 +11,14 @@ A state file holds one dim x dim matrix; a channel file holds ``kraus`` many,
 stacked.  The writer and the reader work in chunks of at most ``CHUNK_BYTES`` of
 text.  The writer prints each entry as ``%.17g:%.17g`` would, so a save/load
 round trip is bit-faithful.  One reader takes every file: a load holds at most
-the text, the stack and one chunk (a file it must re-encode first holds up to
-three copies of its text while it does), and an error keeps its line and
-column.  A header ``dim`` above ``channels.DIM_CAP`` is refused before any row
-is read.
+the text, the stack and one chunk (a file it must re-encode first holds the
+text, its re-encoded copy and one chunk while it does), and an error keeps its
+line and column.  A header ``dim`` above ``channels.DIM_CAP`` is refused
+before any row is read.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -166,22 +167,42 @@ def _count_error(data: bytes, pos: int, lineno: int, needed: int) -> ParseError 
     return None if found == needed else ParseError(f"expected {needed} matrix rows, found {found}", where, 1)
 
 
+def _reencoded(data: bytes) -> bytearray:
+    """``data`` with one newline ending each ``str.splitlines`` line, slice by slice into one buffer.
+
+    A slice ends after the first line end past ``CHUNK_BYTES``, so no line end
+    or UTF-8 sequence spans two; the text grows by at most a final newline.
+    """
+    # Every line end that ``str.splitlines`` takes, in UTF-8.
+    line_end = re.compile(rb"\r\n|[\n\r\v\f\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
+    text, pos, size = bytearray(len(data) + 1), 0, 0
+    while pos < len(data):
+        found = line_end.search(data, pos + CHUNK_BYTES)
+        end = found.end() if found else len(data)
+        try:
+            lines = ("\n".join(data[pos:end].decode().splitlines()) + "\n").encode()
+        except UnicodeDecodeError as err:
+            before = (data[:pos + err.start].decode() + "?").splitlines()
+            raise ParseError(f"byte {data[pos + err.start]:#04x} is not UTF-8", len(before), len(before[-1])) from None
+        text[size:size + len(lines)] = lines
+        pos, size = end, size + len(lines)
+    del text[size:]
+    return text
+
+
 def _parse_matrices(data: bytes, expect_kraus: bool) -> np.ndarray:
     """The (kraus, dim, dim) stack of a state or channel file's bytes.
 
     A file that is not ASCII, has a ``str.splitlines`` line end other than the
     newline or lacks a final newline is first re-encoded with one newline per
-    line, so each line keeps its number.  Each slice of the body goes to
-    ``_parse_chunk``; a refused slice is tried once more as its joined content
-    lines, then row by row with ``_parse_row``, so an error keeps its line and
-    column.  A wrong number of rows is reported before any malformed row.
+    line (``_reencoded``), so each line keeps its number.  Each slice of the
+    body goes to ``_parse_chunk``; a refused slice is tried once more as its
+    joined content lines, then row by row with ``_parse_row``, so an error
+    keeps its line and column.  A wrong number of rows is reported before any
+    malformed row.
     """
     if not data.isascii() or not data.endswith(b"\n") or any(c in data for c in b"\r\v\f\x1c\x1d\x1e"):
-        try:
-            data = ("\n".join(data.decode().splitlines()) + "\n").encode()
-        except UnicodeDecodeError as err:
-            before = (data[:err.start].decode() + "?").splitlines()
-            raise ParseError(f"byte {data[err.start]:#04x} is not UTF-8", len(before), len(before[-1])) from None
+        data = _reencoded(data)
     header, pos, lineno = [], 0, 0
     while len(header) < 1 + expect_kraus and pos < len(data):
         end = data.index(b"\n", pos) + 1

@@ -1,17 +1,18 @@
 """Verification harness: structural identities, propositions, additivity.
 
-Every claim returns ``reporting.Check`` records, the entries of the report:
-one per claim, a (sampled, remark) pair for prop4 and five sub-checks in
-report order for the theorem, each of those timed on its own.  Sampled claims
-run through ``worst_over``: each sample is drawn from its own substream, in
-index order, and the samples are scored as stacks of at most
-``STACK_SAMPLES``, so a claim's memory is bounded by that constant, not by its
-batch size.  Every sampled claim validates, applies and takes entropies of a
-whole stack with one call per operation, and only the worst sample's check
-record is built.  Every Weyl conjugation and projection on H (x) K acts on
-the H factor through ``linalg.apply_left``, and prop3's Phi (x) Id_K and
-eq13's tensor squares are ``ProductChannel`` objects applied factor by
-factor, so no U (x) I_K and no product Kraus stack is ever built.
+Every claim builds its ``reporting.Check`` records, the report's entries,
+from the plain values ``channels`` and ``weyl`` return (additivity alone goes
+through ``AdditivityReport.to_check``): one per claim, a (sampled, remark)
+pair for prop4 and five sub-checks in report order for the theorem, each
+timed on its own.  Sampled claims run through ``worst_over``: each sample is
+drawn from its own substream, in index order, and the samples are scored as
+stacks of at most ``STACK_SAMPLES``, so a claim's memory is bounded by that
+constant, not by its batch size.  Every sampled claim validates, applies and
+takes entropies of a whole stack with one call per operation, and only the
+worst sample's check record is built.  Every Weyl conjugation and projection
+on H (x) K acts on the H factor through ``linalg.apply_left``, and prop3's
+Phi (x) Id_K and eq13's tensor squares are ``ProductChannel`` objects applied
+factor by factor, so no U (x) I_K and no product Kraus stack is ever built.
 Tolerance ledger: exact algebraic identities 1e-10..1e-12, inequality claims
 -1e-9 (arithmetic-limited), optimizer-backed equalities 1e-5..1e-6
 (restart-limited).
@@ -29,9 +30,10 @@ from . import weyl as weyl_mod
 from .channels import (
     KrausChannel,
     PhaseDampingParams,
+    choi_distance,
     depolarizing,
     eq9_decomposition,
-    eq12_representation,
+    eq12_multiplier,
     identity_channel,
     phase_damping,
     random_channel_from,
@@ -240,11 +242,10 @@ def check_eq5(l: int, samples: int = 100, seed: int = 0) -> Check:
 
 def check_eq9(l: int, p: float) -> Check:
     """Choi distance between the coset decomposition and the depolarizing channel."""
-    dec = eq9_decomposition(l, p)
-    normalization = abs(dec.c0 + (l - 1) * dec.c1 - 1.0 / l)
+    reconstruction, c0, c1 = eq9_decomposition(l, p)
     return verdict(
-        "eq9", lhs=0.0, rhs=dec.choi_distance_to_depolarizing, tolerance=EQ9_TOL,
-        witness={"c0": dec.c0, "c1": dec.c1, "normalization_residual": normalization,
+        "eq9", lhs=0.0, rhs=choi_distance(reconstruction, depolarizing(l, p)), tolerance=EQ9_TOL,
+        witness={"c0": c0, "c1": c1, "normalization_residual": abs(c0 + (l - 1) * c1 - 1.0 / l),
                  "l": l, "p": p},
     )
 
@@ -252,14 +253,16 @@ def check_eq9(l: int, p: float) -> Check:
 def check_eq12(l: int, q) -> Check:
     """Diagnostic reconstruction residual; reported, never asserted (open question)."""
     params = PhaseDampingParams(l=l, q=tuple(np.atleast_1d(q)))
-    report = eq12_representation(params)
-    worst = np.unravel_index(int(np.argmax(report.entry_residuals)), report.entry_residuals.shape)
+    multiplier, q_bar = eq12_multiplier(params)
+    # Entry (a, b): the maps' distance on the unit |e_a><e_b|, nonzero on the diagonal in general.
+    entry = np.abs(multiplier - schur_matrix(params))
+    worst = np.unravel_index(int(np.argmax(entry)), entry.shape)
     return verdict(
-        "eq12", lhs=0.0, rhs=report.reconstruction_residual, tolerance=math.inf,
+        "eq12", lhs=0.0, rhs=float(np.sqrt((entry ** 2).sum())), tolerance=math.inf,
         witness={
-            "q_bar": report.q_bar,
+            "q_bar": q_bar,
             "q": list(params.q),
-            "max_entry_residual": float(report.entry_residuals.max()),
+            "max_entry_residual": float(entry.max()),
             "max_entry": [int(worst[0]), int(worst[1])],
             "diagnostic_only": True,
         },
@@ -317,11 +320,10 @@ def _prop2_scores(
     Takes stacked weight rows (n, l) and states (n, l dim_k, l dim_k).
     """
     l = family.system.l
-    resolution = weyl_mod.fixed_point_resolution(family)
     lhs = vn_nats(_family_mixture(family.unitaries(), lam, x, dim_k))
     ex = _family_average(family, x, dim_k)
     middle = np.zeros(len(x))
-    for proj in resolution.projections:
+    for proj in weyl_mod.fixed_point_resolution(family):
         block = partial_trace(apply_left(proj, ex, l, dim_k), l, dim_k, side="left")
         middle = middle + subnormalized_entropy(block)
     rhs = entropy_of_spectrum(lam) + middle - math.log(l)
@@ -399,8 +401,7 @@ def _prop3_scores(
         labels, entropies, traces = [], [], []
         for k in range(l):
             family = weyl_mod.diagonal_subgroup(system, k)
-            resolution = weyl_mod.fixed_point_resolution(family)
-            for j, proj in enumerate(resolution.projections):
+            for j, proj in enumerate(weyl_mod.fixed_point_resolution(family)):
                 entr, tr = _normalized_entropy(
                     partial_trace(apply_left(proj, wx, l, dim_k), l, dim_k, side="left"))
                 labels.append((k, j))

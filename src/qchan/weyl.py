@@ -10,7 +10,7 @@ with no cocycle normalization.  Order-l cyclic subgroups:
   subgroup G0.
 
 For prime ``l`` these l+1 subgroups cover every nonidentity element exactly
-once; for composite ``l`` the covering has gaps (enumerated here).
+once; for composite ``l`` the covering has gaps (see ``covering_counts``).
 """
 from __future__ import annotations
 
@@ -157,36 +157,14 @@ def all_order_l_subgroups(system: WeylSystem) -> list[SubgroupFamily]:
     return fams
 
 
-@dataclass(frozen=True)
-class CoveringReport:
-    """How the order-l subgroups tile the nonidentity group elements."""
-
-    covered: bool
-    missing: tuple[Element, ...]
-    multiply_covered: tuple[Element, ...]
-
-
-def covering_report(system: WeylSystem) -> CoveringReport:
-    """Check that every nonidentity element lies in exactly one order-l subgroup."""
+def covering_counts(system: WeylSystem) -> dict[Element, int]:
+    """How many order-l subgroups hold each nonidentity element; exactly one each for prime l."""
     counts: dict[Element, int] = {g: 0 for g in system.elements if g != system.identity}
     for fam in all_order_l_subgroups(system):
         for g in fam.elements:
             if g != system.identity:
                 counts[g] += 1
-    missing = tuple(sorted(g for g, c in counts.items() if c == 0))
-    multi = tuple(sorted(g for g, c in counts.items() if c > 1))
-    return CoveringReport(covered=not missing and not multi, missing=missing, multiply_covered=multi)
-
-
-@dataclass(frozen=True, eq=False)
-class OrthogonalResolution:
-    """Orthogonal rank-one projections summing to the identity.
-
-    Compares and hashes by identity, like ``WeylSystem``.
-    """
-
-    projections: tuple[np.ndarray, ...]
-    label: str
+    return counts
 
 
 # Eigenvalues of a family generator closer than this are treated as one cluster.
@@ -194,12 +172,12 @@ EIG_CLUSTER_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def fixed_point_resolution(family: SubgroupFamily) -> OrthogonalResolution:
-    """Projections generating the family's fixed-point (commutant) algebra.
+def fixed_point_resolution(family: SubgroupFamily) -> tuple[np.ndarray, ...]:
+    """Orthogonal rank-one projections summing to I that generate the family's fixed-point algebra.
 
     Requires the conjugation action of the family to be abelian and its joint
     eigenspaces one-dimensional; obtained from the generator's eigenvectors.
-    Built and checked once per family; later calls return the same object.
+    Built and checked once per family; later calls return the same tuple.
     """
     system = family.system
     l = system.l
@@ -243,7 +221,7 @@ def fixed_point_resolution(family: SubgroupFamily) -> OrthogonalResolution:
                 raise StructureError(
                     f"family {family.label}: projection not fixed by conjugation with {g}"
                 )
-    return OrthogonalResolution(projections=tuple(projections), label=family.label)
+    return tuple(projections)
 
 
 def transversal(system: WeylSystem, kind: str) -> tuple[Element, ...]:

@@ -122,7 +122,7 @@ def ref_prop2(l, dim_k, rng, i):
         ex = ex + y
     ex = ex / len(conjugates)
     middle = 0.0
-    for proj in weyl.fixed_point_resolution(family).projections:
+    for proj in weyl.fixed_point_resolution(family):
         middle += subnormalized_entropy(partial_trace(apply_left(proj, ex, l, dim_k), l, dim_k, "left"))
     return vn_nats(phix) - (entropy_of_spectrum(lam) + middle - math.log(l))
 
@@ -134,7 +134,7 @@ def ref_prop3_candidates(l, x, dim_k):
     labels, entropies = [], []
     for k in range(l):
         resolution = weyl.fixed_point_resolution(weyl.diagonal_subgroup(weyl.weyl_system(l), k))
-        for j, proj in enumerate(resolution.projections):
+        for j, proj in enumerate(resolution):
             block = partial_trace(apply_left(proj, wx, l, dim_k), l, dim_k, side="left")
             labels.append((k, j))
             entropies.append(vn_nats(block / float(np.trace(block).real)))

@@ -11,7 +11,7 @@ from qchan.channels import (
     choi_matrix,
     depolarizing,
     eq9_decomposition,
-    eq12_representation,
+    eq12_multiplier,
     identity_channel,
     kraus_channel,
     pauli_qubit,
@@ -29,7 +29,7 @@ from qchan.errors import (
     ValidationError,
 )
 from qchan.states import basis_state, pure_to_density
-from qchan.verify import _family_average
+from qchan.verify import _family_average, check_eq12
 
 from helpers import (
     maximally_mixed,
@@ -131,7 +131,7 @@ def test_tensor_acts_factorwise():
 
 def test_tensor_of_depolarizing_is_unital():
     checks = structural_checks(depolarizing(2, 0.5).tensor(depolarizing(2, 0.5)))
-    assert checks.unital and checks.trace_preserving
+    assert checks.witness["unital"] and checks.witness["trace_preserving"]
 
 
 def test_tensor_capacity_error(monkeypatch):
@@ -195,7 +195,7 @@ def test_structural_checks_constructors_pass():
     for c in (depolarizing(2, 0.5), depolarizing(3, 1.0), phase_damping(2, (0.4,)),
               phase_damping(4, (0.6, 0.3, 0.9)), pauli_qubit(0.5, 0.3, 0.2)):
         checks = structural_checks(c)
-        assert checks.trace_preserving and checks.unital and checks.completely_positive
+        assert all(checks.witness[k] for k in ("trace_preserving", "unital", "completely_positive"))
 
 
 def test_choi_is_built_on_first_read():
@@ -215,7 +215,7 @@ def test_structural_checks_solve_for_eigenvalues_only(monkeypatch):
     # The spectrum is solved by support blocks, so it may differ from the
     # dense solve in the last bits; 1e-12 * dim^2 as in test_contractions.
     dense = float(hermitian_eigvals(c.choi)[0])
-    assert abs(structural_checks(c).choi_min_eigenvalue - dense) <= 1e-12 * c.dim ** 2
+    assert abs(structural_checks(c).witness["choi_min_eigenvalue"] - dense) <= 1e-12 * c.dim ** 2
 
 
 # Support blocks (channels._support_blocks) against the dense Choi matrix.
@@ -274,7 +274,7 @@ def test_block_choi_distance_against_the_dense_choi(name):
 def test_structural_checks_flags_broken_kraus():
     bad = np.array([[[1.0, 0.0], [0.0, 0.5]]], dtype=complex)
     checks = structural_checks(bad)
-    assert not checks.trace_preserving
+    assert not checks.witness["trace_preserving"]
     with pytest.raises(ValidationError, match="[Tt]race preservation"):
         kraus_channel(bad)
 
@@ -525,7 +525,7 @@ def test_depolarizing_equals_weyl_mixture():
 def test_mixture_is_unital():
     us = [random_unitary(2, seed=s) for s in range(3)]
     checks = structural_checks(mixture_of_unitaries([0.2, 0.3, 0.5], us))
-    assert checks.unital
+    assert checks.witness["unital"]
 
 
 # ------------------------------------------------------ conditional expectation
@@ -560,9 +560,9 @@ def test_conditional_expectation_idempotent():
 
 @pytest.mark.parametrize("l,p", [(2, 0.5), (3, 1.0), (5, 0.4), (2, 4.0 / 3.0)])
 def test_eq9_reconstruction(l, p):
-    dec = eq9_decomposition(l, p)
-    assert dec.choi_distance_to_depolarizing <= 1e-10
-    assert abs(dec.c0 + (l - 1) * dec.c1 - 1.0 / l) <= 1e-12
+    reconstruction, c0, c1 = eq9_decomposition(l, p)
+    assert choi_distance(reconstruction, depolarizing(l, p)) <= 1e-10
+    assert abs(c0 + (l - 1) * c1 - 1.0 / l) <= 1e-12
 
 
 def test_eq9_composite_rejected():
@@ -606,31 +606,36 @@ def test_eq12_multiplier_equals_matrix_unit_reference(l):
     for seed in range(30):
         q = tuple(substream(seed, l).uniform(size=l - 1))
         params = PhaseDampingParams(l=l, q=q)
-        report = eq12_representation(params)
+        multiplier, _ = eq12_multiplier(params)
         residual, entry = eq12_matrix_unit_reference(params)
-        assert report.reconstruction_residual == residual
-        assert np.array_equal(report.entry_residuals, entry)
+        assert np.array_equal(np.abs(multiplier - schur_matrix(params)), entry)
+        check = check_eq12(l, q)
+        assert check.rhs == residual
+        assert check.witness["max_entry_residual"] == entry.max()
 
 
 def test_eq12_qubit_residual():
     # diagonal units pick up coefficient (2 - q1) instead of 1
     q1 = 0.5
-    report = eq12_representation(PhaseDampingParams(l=2, q=(q1,)))
-    assert report.q_bar == pytest.approx(1.0)
-    assert report.entry_residuals[0, 0] == pytest.approx(1.0 - q1)
-    assert report.entry_residuals[0, 1] == pytest.approx(0.0, abs=1e-14)
-    assert report.reconstruction_residual == pytest.approx(math.sqrt(2 * (1 - q1) ** 2))
+    params = PhaseDampingParams(l=2, q=(q1,))
+    multiplier, q_bar = eq12_multiplier(params)
+    entry = np.abs(multiplier - schur_matrix(params))
+    assert q_bar == pytest.approx(1.0)
+    assert entry[0, 0] == pytest.approx(1.0 - q1)
+    assert entry[0, 1] == pytest.approx(0.0, abs=1e-14)
+    check = check_eq12(2, (q1,))
+    assert check.witness["q_bar"] == q_bar
+    assert check.rhs == pytest.approx(math.sqrt(2 * (1 - q1) ** 2))
 
 
 def test_eq12_identity_case():
-    report = eq12_representation(PhaseDampingParams(l=3, q=(1.0, 0.3)))
-    assert report.reconstruction_residual <= 1e-12
+    assert check_eq12(3, (1.0, 0.3)).rhs <= 1e-12
 
 
 def test_eq12_nonzero_for_general_coefficients():
-    report = eq12_representation(PhaseDampingParams(l=5, q=(0.5, 0.5, 0.5, 0.5)))
-    assert report.reconstruction_residual > 1e-3
-    assert report.entry_residuals.shape == (5, 5)
+    multiplier, _ = eq12_multiplier(PhaseDampingParams(l=5, q=(0.5, 0.5, 0.5, 0.5)))
+    assert multiplier.shape == (5, 5)
+    assert check_eq12(5, (0.5, 0.5, 0.5, 0.5)).rhs > 1e-3
 
 
 # ------------------------------------------------------------------ invariants
@@ -645,8 +650,8 @@ def test_constructor_invariants_sweep():
     ]
     for c in candidates:
         checks = structural_checks(c)
-        assert checks.tp_residual <= 1e-10 * c.dim
-        assert checks.choi_min_eigenvalue >= -1e-10
+        assert checks.witness["tp_residual"] <= 1e-10 * c.dim
+        assert checks.witness["choi_min_eigenvalue"] >= -1e-10
 
 
 def test_channel_immutable():

@@ -118,6 +118,29 @@ def test_channel_info_depolarizing(tmp_path):
     assert witness["unital"] and witness["trace_preserving"] and witness["completely_positive"]
 
 
+CHANNEL_INFO_KEYS = ["dim", "kraus_count", "tp_residual", "unitality_residual", "choi_min_eigenvalue",
+                     "trace_preserving", "unital", "completely_positive"]
+
+
+@pytest.mark.parametrize("saved", [False, True], ids=["depolarizing", "saved-l5-square"])
+def test_channel_info_entry(tmp_path, saved):
+    args = ["channel-info", "--channel", "depolarizing", "--l", "3", "--p", "0.3"]
+    if saved:
+        xi = phase_damping(5, (0.3,) * 4).compose(depolarizing(5, 0.2)).reduced()
+        path = tmp_path / "square.txt"
+        save_channel(path, xi.tensor(xi).reduced())
+        args = ["channel-info", "--channel", "file", "--channel-file", str(path)]
+    code, report = run_cli(args + ["--seed", "4"], tmp_path)
+    assert code == 0
+    check = report["checks"][0]
+    assert check["id"] == "channel_info" and check["pass"] is True and check["seed"] == 4
+    assert list(check["witness"]) == CHANNEL_INFO_KEYS
+    assert check["tolerance"] == 1e-10
+    assert check["lhs"] == check["margin"] == check["witness"]["choi_min_eigenvalue"]
+    assert check["rhs"] == 0
+    assert (check["witness"]["dim"], check["witness"]["kraus_count"]) == ((25, 625) if saved else (3, 9))
+
+
 def test_entropy_subcommand(tmp_path):
     rho = random_density(3, 3, seed=5)
     state_path = tmp_path / "state.txt"

@@ -147,9 +147,9 @@ def test_structural_checks(case):
         tp = float(np.linalg.norm(ref_gram(raw) - eye))
         unital = float(np.linalg.norm(ref_unitality(raw) - eye))
         choi_min = float(np.linalg.eigvalsh(ref_choi(raw))[0])
-        assert abs(checks.tp_residual - tp) <= TOL * d * max(1.0, tp)
-        assert abs(checks.unitality_residual - unital) <= TOL * d * max(1.0, unital)
-        assert abs(checks.choi_min_eigenvalue - choi_min) <= TOL * d * d
+        assert abs(checks.witness["tp_residual"] - tp) <= TOL * d * max(1.0, tp)
+        assert abs(checks.witness["unitality_residual"] - unital) <= TOL * d * max(1.0, unital)
+        assert abs(checks.witness["choi_min_eigenvalue"] - choi_min) <= TOL * d * d
 
 
 @pytest.mark.parametrize("d, m", [(2, 1), (3, 2), (3, 7), (4, 16), (5, 3)])
@@ -159,7 +159,7 @@ def test_unitality_matches_the_adjoint_gram(d, m):
     eye = np.eye(d)
     for ops in (c.ops, 1.1 * c.ops):
         want = float(np.linalg.norm(gram_matrix(ops.conj().transpose(0, 2, 1)) - eye))
-        got = structural_checks(ops).unitality_residual
+        got = structural_checks(ops).witness["unitality_residual"]
         assert abs(got - want) <= TOL * d * max(1.0, want)
 
 
@@ -199,9 +199,9 @@ def test_choi_spectrum_by_blocks(name):
     d = ops.shape[1]
     choi_min = float(np.linalg.eigvalsh(ref_choi(ops))[0])
     checks = structural_checks(c)
-    assert abs(checks.choi_min_eigenvalue - choi_min) <= TOL * d * d
+    assert abs(checks.witness["choi_min_eigenvalue"] - choi_min) <= TOL * d * d
     if name == "phase-damping-isolated":
-        assert checks.choi_min_eigenvalue == 0.0
+        assert checks.witness["choi_min_eigenvalue"] == 0.0
     if isinstance(c, Channel):
         assert "choi" not in vars(getattr(c, "dense", c))
 

@@ -6,9 +6,17 @@ import pytest
 
 from qchan import channels as channels_mod
 from qchan import fileio
-from qchan.channels import choi_distance, depolarizing, kraus_channel, phase_damping, structural_checks
+from qchan.channels import (
+    choi_distance,
+    depolarizing,
+    kraus_channel,
+    phase_damping,
+    random_channel_from,
+    structural_checks,
+)
 from qchan.errors import CapacityError, NotPositiveError, ValidationError
 from qchan.fileio import ParseError, load_channel, load_state, save_channel
+from qchan.rng import substream
 from qchan.states import density_from_matrix
 
 from helpers import random_channel, random_density, save_state
@@ -224,6 +232,14 @@ def test_load_channel_memory_is_the_text_the_stack_and_a_chunk(tmp_path, l5_squa
         path.write_bytes(data)
         bound = len(data) + l5_square.ops.nbytes + 1_000_000
         assert _peak_bytes(lambda: load_channel(path)) < bound
+    # A CRLF copy of a file whose text outweighs its stack (7.2 MB against
+    # 2.6 MB) holds the text and its re-encoded copy at once, and no more.
+    dense = random_channel_from(substream(1), 40, 100)
+    save_channel(path, dense)
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b"\n", b"\r\n"))
+    bound = path.stat().st_size + len(text) + dense.ops.nbytes + 1_000_000
+    assert _peak_bytes(lambda: load_channel(path)) < bound
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 9])

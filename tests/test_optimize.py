@@ -8,7 +8,6 @@ from qchan.channels import (
     identity_channel,
     pauli_qubit,
     phase_damping,
-    pure_output,
 )
 from qchan.entropy import entropy_of_spectrum
 from qchan.errors import NumericalError, UsageError
@@ -448,11 +447,11 @@ def test_descent_no_worse_than_fixed_step_reference(spec, seed):
 # form the shared spectral objective replaced.
 def ref_entropy_objective(c):
     def value(amps):
-        rho = pure_output(c.ops, amps)
+        rho = c.pure_output(amps)
         return entropy_of_spectrum(np.linalg.eigvalsh(rho))
 
     def value_and_grad(amps):
-        rho = pure_output(c.ops, amps)
+        rho = c.pure_output(amps)
         vals, vecs = np.linalg.eigh(rho)
         f = entropy_of_spectrum(vals)
         log_floored = np.log(np.maximum(vals, GRAD_FLOOR))
@@ -467,12 +466,12 @@ def ref_entropy_objective(c):
 
 def ref_purity_objective(c, p):
     def value(amps):
-        rho = pure_output(c.ops, amps)
+        rho = c.pure_output(amps)
         vals = np.maximum(np.linalg.eigvalsh(rho), 0.0)
         return -float((vals ** p).sum())
 
     def value_and_grad(amps):
-        rho = pure_output(c.ops, amps)
+        rho = c.pure_output(amps)
         vals, vecs = np.linalg.eigh(rho)
         vals = np.maximum(vals, 0.0)
         f = -float((vals ** p).sum())

@@ -91,3 +91,44 @@ def test_every_export_has_a_caller_or_a_reason():
 
 def test_allowlist_names_only_exports():
     assert set(ALLOWED) <= public_names()
+
+
+# Every top-level class of ``src/qchan``, one reason each, so that a new result
+# type comes with a stated reason.  A claim's result is a ``reporting.Check``.
+CLASSES = {
+    "channels.KrausChannel": "a channel as one Kraus stack",
+    "channels.ProductChannel": "a tensor product applied factor by factor, with no product Kraus stack",
+    "channels.DepolarizingParams": "validates the depolarizing parameters (l, p)",
+    "channels.PhaseDampingParams": "validates the damping coefficients q_1..q_{l-1}",
+    "cli.RunConfig": "the configuration echoed into every report",
+    "errors.QchanError": "base class of every qchan error, for callers to catch",
+    "errors.UsageError": "error class, exit code 2",
+    "errors.CapacityError": "error class, a usage error for a dimension above the cap",
+    "errors.ValidationError": "error class, exit code 2",
+    "errors.NotPositiveError": "error class, a validation error that carries the eigenvalue",
+    "errors.NotCompletelyPositiveError": "error class, a validation error that carries the eigenvalue",
+    "errors.StructureError": "error class for a unitary family without the structure asked of it",
+    "errors.NumericalError": "error class, exit code 3",
+    "fileio.ParseError": "a usage error that carries the line and column of a bad file",
+    "linalg.HermitianEigen": "the eigenvalues and eigenvectors hermitian_eig returns together",
+    "optimize.OptimizationResult": "a search's minimizer, value and stopping reason, read by several claims",
+    "reporting.Check": "the one claim record: every report entry is one",
+    "reporting.AdditivityReport": (
+        "the one exception to Check: perfbench/workloads.py reads its fields, and ROADMAP item 1 "
+        "(the benchmark change) replaces it with a Check"),
+    "states.DensityMatrix": "a validated state",
+    "states.PureState": "a validated unit vector",
+    "states.StateEnsemble": "the input of holevo_chi",
+    "verify.Scores": "a stack's margins with each record built on request, so a batch builds one Check",
+    "weyl.WeylSystem": "the l^2 Weyl unitaries of one dimension, built once",
+    "weyl.SubgroupFamily": "an order-l subgroup, validated as one, that keys the resolution cache",
+}
+
+
+def defined_classes() -> list[str]:
+    return sorted(f"{path.stem}.{node.name}" for path in PACKAGE.glob("*.py")
+                  for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef))
+
+
+def test_every_class_has_a_stated_reason():
+    assert defined_classes() == sorted(CLASSES)

@@ -254,7 +254,7 @@ def test_prop3_e_average_equals_direct_projection():
         u = np.kron(system.unitary(g), np.eye(2))
         ey += u @ y @ u.conj().T
     ey /= 2
-    for proj in res.projections:
+    for proj in res:
         lifted = np.kron(proj, np.eye(2))
         direct = partial_trace(lifted @ y, 2, 2, "left")
         averaged = partial_trace(lifted @ ey, 2, 2, "left")

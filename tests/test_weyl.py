@@ -75,19 +75,18 @@ def test_non_closed_family_rejected():
                             elements=((0, 0), (1, 0), (1, 1)), generator=(1, 0))
 
 
-@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("l", [2, 3, 5, 7])
 def test_covering_prime(l):
     system = weyl.weyl_system(l)
-    report = weyl.covering_report(system)
-    assert report.covered
-    assert not report.missing and not report.multiply_covered
+    counts = weyl.covering_counts(system)
+    assert len(counts) == l * l - 1
+    assert set(counts.values()) == {1}
 
 
 def test_covering_gap_composite():
     system = weyl.weyl_system(4)
-    report = weyl.covering_report(system)
-    assert not report.covered
-    assert (2, 1) in report.missing
+    counts = weyl.covering_counts(system)
+    assert counts[(2, 1)] == 0
 
 
 def test_fixed_point_resolution_phases():
@@ -96,7 +95,7 @@ def test_fixed_point_resolution_phases():
     coordinate = [np.zeros((4, 4), dtype=complex) for _ in range(4)]
     for k in range(4):
         coordinate[k][k, k] = 1.0
-    for proj in res.projections:
+    for proj in res:
         assert min(np.abs(proj - c).max() for c in coordinate) < 1e-10
 
 
@@ -109,7 +108,7 @@ def test_fixed_point_resolution_shifts_is_fourier():
     for k in range(l):
         v = np.array([omega ** (j * k) for j in range(l)]) / np.sqrt(l)
         fourier.append(np.outer(v, v.conj()))
-    for proj in res.projections:
+    for proj in res:
         assert min(np.abs(proj - f).max() for f in fourier) < 1e-10
 
 
@@ -118,7 +117,7 @@ def test_fixed_point_resolution_diagonal_subgroup():
     family = weyl.diagonal_subgroup(system, 1)
     res = weyl.fixed_point_resolution(family)
     u = system.unitary((1, 1))
-    for proj in res.projections:
+    for proj in res:
         # each projection spans one eigenvector of the generator
         v = proj[:, np.argmax(np.diag(proj).real)]
         v = v / np.linalg.norm(v)
@@ -132,10 +131,10 @@ def test_resolution_invariants(l):
     system = weyl.weyl_system(l)
     for family in weyl.all_order_l_subgroups(system):
         res = weyl.fixed_point_resolution(family)
-        total = sum(res.projections)
+        total = sum(res)
         assert np.abs(total - np.eye(l)).max() < 1e-11
-        for i, p in enumerate(res.projections):
-            for j, q in enumerate(res.projections):
+        for i, p in enumerate(res):
+            for j, q in enumerate(res):
                 target = p if i == j else np.zeros_like(p)
                 assert np.abs(p @ q - target).max() < 1e-11
 
@@ -176,7 +175,7 @@ def test_cached_objects_are_shared_and_read_only():
     assert weyl.phase_subgroup(system) is weyl.phase_subgroup(system)
     res = weyl.fixed_point_resolution(family)
     assert weyl.fixed_point_resolution(family) is res
-    for arr in (*system.unitaries.values(), *res.projections):
+    for arr in (*system.unitaries.values(), *res):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 2.0
@@ -204,5 +203,5 @@ def test_hand_built_system_gets_its_own_resolution():
         assert res_rot is not res_std
         # Conjugating the group by V keeps the generator's spectrum, so the
         # projections keep their order and become V P V*.
-        for p_std, p_rot in zip(res_std.projections, res_rot.projections):
+        for p_std, p_rot in zip(res_std, res_rot):
             assert np.abs(p_rot - v @ p_std @ v.conj().T).max() < 1e-10
