@@ -14,8 +14,13 @@ builds the dense matrix, the reference that tests compare against.
 
 A tensor product is a ``ProductChannel``: its pure-state output, its apply
 and its adjoint apply act one factor at a time.  Its dense Kraus stack is
-built only when ``ops``, ``adjoint_ops``, ``choi``, ``compose`` or
+built only when ``ops``, ``adjoint_ops``, ``gram``, ``choi``, ``compose`` or
 ``reduced()`` reads it.
+
+``kraus_channel`` validates trace preservation with the Gram Sum_k K_k* K_k
+and keeps it on the channel (``KrausChannel.gram``, a cached value outside
+the dataclass fields, so it takes no part in comparison), where
+``structural_checks`` reads it instead of summing the stack again.
 
 ``structural_checks`` returns the ``channel_info`` ``reporting.Check``; the
 eq9 and eq12 constructions return plain values, from which ``verify`` builds
@@ -137,6 +142,11 @@ class KrausChannel:
         """The stack {K_k*}, shape (m, dim, dim), built on first read and read-only."""
         return frozen(np.ascontiguousarray(dagger(self.ops)))
 
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """Sum_k K_k* K_k, shape (dim, dim), read-only; ``kraus_channel`` keeps the one it validated."""
+        return frozen(gram_matrix(self.ops))
+
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         """Sum_k K_k x K_k* on an arbitrary operator, or on each of a stack of them."""
         x = as_complex_matrix(x, stack=True)
@@ -223,8 +233,8 @@ class ProductChannel:
     is reshaped to (d_a, d_b, d_a, d_b); each factor then acts on the stack of
     blocks that its own indices address.  ``pure_output``, ``apply_matrix``
     and ``adjoint_apply`` never build the product's Kraus stack.  ``ops``,
-    ``adjoint_ops``, ``choi``, ``compose`` and ``reduced()`` read ``dense``, the
-    Kraus set {A_i (x) B_j}, built and validated on first read.
+    ``adjoint_ops``, ``gram``, ``choi``, ``compose`` and ``reduced()`` read
+    ``dense``, the Kraus set {A_i (x) B_j}, built and validated on first read.
     """
 
     a: Channel
@@ -249,6 +259,10 @@ class ProductChannel:
     @property
     def adjoint_ops(self) -> np.ndarray:
         return self.dense.adjoint_ops
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self.dense.gram
 
     @property
     def choi(self) -> np.ndarray:
@@ -321,7 +335,10 @@ def kraus_channel(ops) -> KrausChannel:
             f"trace preservation violated: ||Sum K*K - I||_F = {tp_residual:.3e} "
             f"exceeds {TP_TOL:.0e} * dim"
         )
-    return KrausChannel(ops=frozen(arr), dim=dim)
+    channel = KrausChannel(ops=frozen(arr), dim=dim)
+    # Kept as a first read of the cached ``gram`` would keep it.
+    channel.__dict__["gram"] = frozen(gram)
+    return channel
 
 
 def choi_distance(a: Channel, b: Channel) -> float:
@@ -420,18 +437,21 @@ def structural_checks(c) -> Check:
     smallest Choi eigenvalue is solved by support blocks
     (``_choi_min_eigenvalue``): the whole dim^2 x dim^2 Choi matrix is formed
     only when the operators' support links every vec index into one block.
-    The Gram and unitality sums add up parts of the stack, so no copy of the
-    whole stack is made.
+    A channel's Gram is the one it keeps (``KrausChannel.gram``, which
+    ``kraus_channel`` stores when it validates the stack); a raw stack's is
+    summed here.  The Gram and unitality sums add up parts of the stack, so no
+    copy of the whole stack is made.
     """
     if isinstance(c, Channel):
-        ops, dim = c.ops, c.dim
+        ops, dim, gram = c.ops, c.dim, c.gram
     else:
         ops = np.asarray(c, dtype=complex)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] < 1:
             raise ValidationError(f"expected a stack of square operators, got shape {ops.shape}")
         dim = ops.shape[1]
+        gram = gram_matrix(ops)
     eye = np.eye(dim)
-    tp = frobenius(gram_matrix(ops) - eye)
+    tp = frobenius(gram - eye)
     unital = frobenius(_sum_over_runs(ops, _unitality_term) - eye)
     choi_min = _choi_min_eigenvalue(ops)
     witness = {"dim": dim, "kraus_count": int(ops.shape[0]), "tp_residual": tp, "unitality_residual": unital,

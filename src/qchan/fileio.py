@@ -10,10 +10,14 @@ Format (one matrix row per line, ``#`` starts a comment, blank lines ignored)::
 A state file holds one dim x dim matrix; a channel file holds ``kraus`` many,
 stacked.  The writer and the reader work in chunks of at most ``CHUNK_BYTES`` of
 text.  The writer prints each entry as ``%.17g:%.17g`` would, so a save/load
-round trip is bit-faithful.  One reader takes every file: a load holds at most
-the text, the stack and one chunk (a file it must re-encode first holds the
-text, its re-encoded copy and one chunk while it does), and an error keeps its
-line and column.  A header ``dim`` above ``channels.DIM_CAP`` is refused
+round trip is bit-faithful.  It formats rows from templates, one per zero
+layout (which entries are signed zeros, and their signs), cached while their
+text stays within ``CHUNK_BYTES``, and sizes each chunk by its rows' layouts
+(``_write_rows``).  The reader counts each slice's lines once, for both the
+row count and the line numbers.  One reader takes every file: a load holds at
+most the text, the stack and one chunk (a file it must re-encode first holds
+the text, its re-encoded copy and one chunk while it does), and an error keeps
+its line and column.  A header ``dim`` above ``channels.DIM_CAP`` is refused
 before any row is read.
 """
 from __future__ import annotations
@@ -146,11 +150,15 @@ def _parse_chunk(text: bytes, dim: int, rows: int) -> np.ndarray | None:
 
 
 def _slices(data: bytes, pos: int, lineno: int):
-    """(line number, text) of each run of lines from ``pos`` (line ``lineno``): ``CHUNK_BYTES`` at most, or one."""
+    """(line number, text, newline count) of each run of lines from ``pos`` (line ``lineno``).
+
+    A run is ``CHUNK_BYTES`` at most, or one line.
+    """
     while pos < len(data):
         end = data.rfind(b"\n", pos, pos + CHUNK_BYTES) + 1 or data.index(b"\n", pos) + 1
-        yield lineno, data[pos:end]
-        lineno += data.count(b"\n", pos, end)
+        lines = data.count(b"\n", pos, end)
+        yield lineno, data[pos:end], lines
+        lineno += lines
         pos = end
 
 
@@ -160,7 +168,7 @@ def _count_error(data: bytes, pos: int, lineno: int, needed: int) -> ParseError 
     It names the last content line, or line ``lineno`` when the body has none.
     """
     found, where = 0, lineno
-    for first, chunk in _slices(data, pos, lineno + 1):
+    for first, chunk, _ in _slices(data, pos, lineno + 1):
         lines = _content_lines(chunk.decode(), first)
         found += len(lines)
         where = lines[-1][0] if lines else where
@@ -215,8 +223,7 @@ def _parse_matrices(data: bytes, expect_kraus: bool) -> np.ndarray:
     # shorter body gets no stack: it has too few rows or a bad one, and raises.
     flat = np.empty((needed, dim), dtype=complex) if len(data) - pos >= needed * 4 * dim else None
     done = 0
-    for first, chunk in _slices(data, pos, lineno + 1):
-        rows = chunk.count(b"\n")
+    for first, chunk, rows in _slices(data, pos, lineno + 1):
         values = _parse_chunk(chunk, dim, rows)
         if values is None:
             lines = _content_lines(chunk.decode(), first)
@@ -253,30 +260,66 @@ def load_channel(path: str | Path) -> KrausChannel:
     return kraus_channel(_parse_matrices(_read(path), expect_kraus=True))
 
 
-#: The text of a pair of signed zeros, indexed by 2 * signbit(re) + signbit(im):
-#: what ``%.17g:%.17g`` prints for them.
-_ZERO_PAIRS = np.array(["0:0", "0:-0", "-0:0", "-0:-0"], dtype=object)
+#: The text of each layout code, as ``%.17g:%.17g`` prints the entry: code
+#: 1 + 2 * signbit(re) + signbit(im) is a pair of signed zeros, code 5 any
+#: other entry (NaN included), whose floats the template formats.
+_PIECES = (None, "0:0", "0:-0", "-0:0", "-0:-0", "%.17g:%.17g")
+#: Most bytes an entry takes with its ", ": 7 for a pair of zeros (``-0:-0, ``),
+#: 51 for any other (24 per part, as in -2.2250738585072014e-308).
+_ZERO_BYTES, _ENTRY_BYTES = 7, 51
 
 
 def _write_rows(file, stack: np.ndarray) -> None:
     """Write each row of ``stack`` (..., dim) to ``file``, ended by a newline.
 
-    A pair of signed zeros takes its text from ``_ZERO_PAIRS``; every other
-    entry goes through ``%.17g:%.17g``.  Rows are formatted and written in
-    chunks of at most ``CHUNK_BYTES`` of text.
+    Each entry has a layout code (``_PIECES``), and a row's codes, one byte per
+    entry, key the row's template: its pieces joined by ", ".  The rows go in
+    chunks of as many rows as fit in ``CHUNK_BYTES`` of text at the sizes of
+    their layouts (at least one).  A chunk is written in parts of the rows
+    whose text fits in ``CHUNK_BYTES`` at any layout, each part its templates
+    joined by newlines and formatted with one ``%`` over its nonzero entries'
+    floats.  The templates are cleared once their text passes ``CHUNK_BYTES``,
+    so a stack whose every row has its own layout is still written within a
+    chunk.
     """
     dim = stack.shape[-1]
     rows = stack.reshape(-1, dim)
-    # An entry and its ", " take at most 51 bytes: 24 per part, as in
-    # -2.2250738585072014e-308.
-    per_chunk = max(1, CHUNK_BYTES // (51 * dim))
-    for first in range(0, len(rows), per_chunk):
-        floats = np.ascontiguousarray(rows[first:first + per_chunk], dtype=complex).view(float)
+    most = max(1, CHUNK_BYTES // (_ZERO_BYTES * dim))
+    # Parts keep each string the writer makes no larger than when every entry
+    # was sized at _ENTRY_BYTES.  Strings of a whole chunk of sparse rows, about
+    # 50 KB each, left the allocator holding more memory across saves and loads:
+    # the l = 5 benchmark job's peak RSS rose by a fifth.
+    part = max(1, CHUNK_BYTES // (_ENTRY_BYTES * dim))
+    templates, cached, first = {}, 0, 0
+    while first < len(rows):
+        floats = np.ascontiguousarray(rows[first:first + most], dtype=complex).view(float)
         re_, im = floats[:, 0::2], floats[:, 1::2]
-        texts = _ZERO_PAIRS[2 * np.signbit(re_) + np.signbit(im)]
-        nonzero = np.flatnonzero((re_ != 0) | (im != 0))
-        texts.flat[nonzero] = ["%.17g:%.17g" % (a, b) for a, b in floats.reshape(-1, 2)[nonzero].tolist()]
-        file.write("\n".join(map(", ".join, texts.tolist())) + "\n")
+        nonzero = (re_ != 0) | (im != 0)
+        per_row = np.count_nonzero(nonzero, axis=1)
+        sizes = np.cumsum(per_row * (_ENTRY_BYTES - _ZERO_BYTES) + _ZERO_BYTES * dim)
+        count = max(1, int(np.searchsorted(sizes, CHUNK_BYTES, "right")))
+        nonzero = nonzero[:count]
+        codes = 2 * np.signbit(re_[:count]).view(np.uint8) + np.signbit(im[:count]).view(np.uint8) + 1
+        codes[nonzero] = 5
+        lines = []
+        # One bytes key per row; no code is 0, so none loses a trailing byte.
+        for key in codes.view(f"V{dim}").reshape(-1).tolist():
+            line = templates.get(key)
+            if line is None:
+                if cached > CHUNK_BYTES:
+                    templates.clear()
+                    cached = 0
+                line = templates[key] = ", ".join([_PIECES[code] for code in key])
+                cached += len(line)
+            lines.append(line)
+        values = floats[:count].reshape(-1, 2)[nonzero.reshape(-1)].reshape(-1).tolist()
+        ends = np.cumsum(2 * per_row[:count]).tolist()  # values up to the end of each row
+        start = 0
+        for a in range(0, count, part):
+            b = min(a + part, count)
+            file.write(("\n".join(lines[a:b]) + "\n") % tuple(values[start:ends[b - 1]]))
+            start = ends[b - 1]
+        first += count
 
 
 def save_channel(path: str | Path, c: KrausChannel) -> None:

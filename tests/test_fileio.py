@@ -215,6 +215,38 @@ def test_save_channel_memory_is_bounded_by_a_chunk(tmp_path, l5_square):
     assert _peak_bytes(lambda: save_channel(tmp_path / "square.txt", l5_square)) < 1_000_000
 
 
+def test_rows_each_with_their_own_layout_match_per_entry_form(monkeypatch, tmp_path):
+    # Each part is +0.0, -0.0 or a normal float, so every row has its own
+    # layout and the writer's templates are cleared many times over.
+    rng = np.random.default_rng(11)
+    parts = rng.choice([0.0, -0.0, 1.0], size=(3000, 40, 2)) * rng.standard_normal((3000, 40, 2))
+    parts[parts == 0] = rng.choice([0.0, -0.0], size=np.count_nonzero(parts == 0))
+    rows = parts.view(complex)[..., 0]
+    re_, im = parts[..., 0], parts[..., 1]
+    layouts = np.where((re_ != 0) | (im != 0), 5, 1 + 2 * np.signbit(re_) + np.signbit(im))
+    assert len(np.unique(layouts, axis=0)) == 3000
+    expected = _format_reference(rows) + "\n"
+    for chunk_bytes in (1, 2000, fileio.CHUNK_BYTES):
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", chunk_bytes)
+        assert "".join(_writes(rows)) == expected
+    channel = SimpleNamespace(dim=40, ops=rows.reshape(75, 40, 40))
+    assert _peak_bytes(lambda: save_channel(tmp_path / "layouts.txt", channel)) < 1_000_000
+    assert (tmp_path / "layouts.txt").read_text() == "dim 40\nkraus 75\n" + expected
+
+
+def test_structural_checks_read_the_kept_gram_with_the_same_bits(tmp_path, l5_square):
+    path = tmp_path / "square.txt"
+    save_channel(path, l5_square)
+    loaded = load_channel(path)
+    witness = structural_checks(loaded).witness
+    assert structural_checks(kraus_channel(loaded.ops)).witness == witness
+    assert structural_checks(np.array(loaded.ops)).witness == witness
+    single = phase_damping(5, (0.3,) * 4).compose(depolarizing(5, 0.2)).reduced()
+    product = single.tensor(single)
+    assert structural_checks(product).witness == structural_checks(product.dense).witness
+    assert structural_checks(product).witness == structural_checks(np.array(product.ops)).witness
+
+
 def test_checks_and_choi_distance_of_the_square_make_no_dense_copy(l5_square):
     # The stack is 6.25 MB and its dense Choi matrix as large again.
     copy = kraus_channel(np.array(l5_square.ops))

@@ -16,6 +16,10 @@ of the benchmark.
 After the pairs, each side runs once more with ``--trace 1``, the parent
 first, so a change that makes a traced run take longer shows here.
 
+Stopped by SIGTERM or SIGINT, it stops the run in progress (SIGTERM, then a
+kill after STOP_GRACE_S), removes the parent's temporary tree and exits with
+128 plus the signal's number.
+
 The result goes to ``BENCH_<label>.json`` (the label defaults to the
 workload's name): the revisions, workload, seed and seconds, every run's side,
 pair, order and wall seconds with its final JSON line, per side the median and
@@ -41,6 +45,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -52,6 +57,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: Pairs of runs per comparison: the fewest on which a gain can be claimed.
 PAIRS = 10
+#: Seconds a benchmark run has to exit after SIGTERM before it is killed.
+STOP_GRACE_S = 5.0
 
 
 def git(*args: str) -> str:
@@ -72,14 +79,27 @@ def extract(revision: str, into: Path) -> None:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> tuple[subprocess.CompletedProcess, float]:
-    """One benchmark run in ``tree`` and its wall seconds."""
+    """One benchmark run in ``tree`` and its wall seconds.
+
+    However the wait ends, a signal's exit included, the run has ended and
+    been waited for when this returns or raises: a run still going is sent
+    SIGTERM, and killed if it has not exited STOP_GRACE_S later.
+    """
+    args = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", repr(seconds), "--trace", str(trace)]
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", repr(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True,
-    )
-    return proc, time.perf_counter() - start
+    with subprocess.Popen(args, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+        try:
+            stdout, stderr = child.communicate()
+        finally:
+            if child.poll() is None:
+                child.terminate()
+                try:
+                    child.wait(timeout=STOP_GRACE_S)
+                except subprocess.TimeoutExpired:
+                    child.kill()
+                    child.wait()
+    return subprocess.CompletedProcess(args, child.returncode, stdout, stderr), time.perf_counter() - start
 
 
 def final_line(proc: subprocess.CompletedProcess, tree: Path) -> dict:
@@ -141,6 +161,10 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def _stopped(signum: int, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -148,6 +172,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--label", help="names the output BENCH_<label>.json; the workload by default")
     args = parser.parse_args(argv)
+    # Unwind on SIGTERM and SIGINT, so the current run is stopped and the
+    # parent's temporary tree removed before the exit.
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stopped)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
